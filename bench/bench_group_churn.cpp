@@ -69,9 +69,11 @@ brsmn::RouteOptions family_options(std::string_view prefix) {
 }
 
 /// The steady multicast shape churn perturbs: 8 sources broadcasting to
-/// all n outputs. High fanout is the regime patching exists for — the
-/// copies separate within the first ~log2(fanout) levels, so a
-/// single-member delta leaves the deep levels' entry planes untouched.
+/// all n outputs. High fanout is the regime patching exists for — every
+/// source's tag-tree node over 16 or more outputs reads α, so a
+/// single-member delta leaves the shallow levels' entry planes untouched
+/// and dirties only the deep levels, where the moved output's small
+/// blocks change hands.
 brsmn::MulticastAssignment churn_base(std::size_t n) {
   return brsmn::broadcast_assignment(n, 8);
 }

@@ -77,57 +77,51 @@ namespace {
 // an α broadcasts its side; otherwise a 0 routes to the upper output and a
 // 1 to the lower, which is Parallel or Cross depending on the side it
 // entered on. An idle switch reads as Parallel.
-SwitchSetting final_level_setting(const LineValue& up, const LineValue& low) {
-  if (!up.empty() && up.tag == Tag::Alpha) return SwitchSetting::UpperBcast;
-  if (!low.empty() && low.tag == Tag::Alpha) return SwitchSetting::LowerBcast;
-  if (!up.empty()) return up.tag == Tag::Zero ? SwitchSetting::Parallel
-                                              : SwitchSetting::Cross;
-  if (!low.empty()) return low.tag == Tag::One ? SwitchSetting::Parallel
-                                               : SwitchSetting::Cross;
+SwitchSetting final_level_setting(Tag up, Tag low) {
+  if (up == Tag::Alpha) return SwitchSetting::UpperBcast;
+  if (low == Tag::Alpha) return SwitchSetting::LowerBcast;
+  if (!is_empty(up)) {
+    return up == Tag::Zero ? SwitchSetting::Parallel : SwitchSetting::Cross;
+  }
+  if (!is_empty(low)) {
+    return low == Tag::One ? SwitchSetting::Parallel : SwitchSetting::Cross;
+  }
   return SwitchSetting::Parallel;
 }
 
 }  // namespace
 
-void deliver_final_level(const std::vector<LineValue>& lines,
+void deliver_final_heads(std::span<const Tag> heads,
+                         std::span<const std::size_t> sources,
                          std::vector<std::optional<std::size_t>>& delivered,
-                         RoutingStats* stats, const ExplainSink* explain,
-                         obs::FabricHeatmap* heatmap) {
-  const std::size_t n = lines.size();
-  BRSMN_EXPECTS(delivered.size() == n);
-  if (heatmap != nullptr) heatmap->record_final_lines(lines);
+                         RoutingStats* stats, const ExplainSink* explain) {
+  const std::size_t n = heads.size();
+  BRSMN_EXPECTS(delivered.size() == n && sources.size() == n);
   if (explain != nullptr) {
-    std::vector<Tag> tags(n);
-    for (std::size_t i = 0; i < n; ++i) tags[i] = lines[i].tag;
-    explain->record_input_tags(tags);
+    explain->record_input_tags(std::vector<Tag>(heads.begin(), heads.end()));
   }
-  auto deliver = [&delivered](std::size_t out, const Packet& p) {
+  auto deliver = [&delivered](std::size_t out, std::size_t source) {
     BRSMN_ENSURES_MSG(!delivered[out].has_value(),
                       "two packets delivered to one output");
-    delivered[out] = p.source;
+    delivered[out] = source;
   };
   for (std::size_t j = 0; 2 * j < n; ++j) {
-    const LineValue& up = lines[2 * j];
-    const LineValue& low = lines[2 * j + 1];
     if (stats) ++stats->switch_traversals;
     if (explain != nullptr) {
-      const SwitchSetting s = final_level_setting(up, low);
+      const SwitchSetting s =
+          final_level_setting(heads[2 * j], heads[2 * j + 1]);
       explain->record_block(1, j, std::span<const SwitchSetting>(&s, 1),
                             RouteRule::FinalDelivery);
     }
-    for (const LineValue* lv : {&up, &low}) {
-      if (lv->empty()) continue;
-      BRSMN_ENSURES_MSG(lv->packet.has_value(),
-                        "occupied line reached delivery without a packet");
-      const Packet& p = *lv->packet;
-      BRSMN_ENSURES_MSG(p.stream.size() == 1 && p.stream.front() == lv->tag,
-                        "final level expects a single remaining tag");
-      switch (lv->tag) {
-        case Tag::Zero: deliver(2 * j, p); break;
-        case Tag::One: deliver(2 * j + 1, p); break;
+    for (const std::size_t line : {2 * j, 2 * j + 1}) {
+      const Tag t = heads[line];
+      if (is_empty(t)) continue;
+      switch (t) {
+        case Tag::Zero: deliver(2 * j, sources[line]); break;
+        case Tag::One: deliver(2 * j + 1, sources[line]); break;
         case Tag::Alpha:
-          deliver(2 * j, p);
-          deliver(2 * j + 1, p);
+          deliver(2 * j, sources[line]);
+          deliver(2 * j + 1, sources[line]);
           if (stats) ++stats->broadcast_ops;
           break;
         default:
@@ -136,6 +130,28 @@ void deliver_final_level(const std::vector<LineValue>& lines,
     }
   }
   if (stats) stats->gate_delay += final_level_delay();
+}
+
+void deliver_final_level(const std::vector<LineValue>& lines,
+                         std::vector<std::optional<std::size_t>>& delivered,
+                         RoutingStats* stats, const ExplainSink* explain,
+                         obs::FabricHeatmap* heatmap) {
+  const std::size_t n = lines.size();
+  if (heatmap != nullptr) heatmap->record_final_lines(lines);
+  std::vector<Tag> heads(n);
+  std::vector<std::size_t> sources(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const LineValue& lv = lines[i];
+    heads[i] = lv.tag;
+    if (lv.empty()) continue;
+    BRSMN_ENSURES_MSG(lv.packet.has_value(),
+                      "occupied line reached delivery without a packet");
+    const Packet& p = *lv.packet;
+    BRSMN_ENSURES_MSG(p.stream.size() == 1 && p.stream.front() == lv.tag,
+                      "final level expects a single remaining tag");
+    sources[i] = p.source;
+  }
+  deliver_final_heads(heads, sources, delivered, stats, explain);
 }
 
 Brsmn::Brsmn(std::size_t n) : n_(n), m_(log2_exact(n)) {

@@ -13,6 +13,7 @@
 #include <cstddef>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -175,11 +176,21 @@ std::vector<LineValue> initial_lines(const MulticastAssignment& a,
 void advance_streams(std::vector<LineValue>& lines);
 
 /// Apply the final level of 2x2 switches: lines (2j, 2j+1) deliver their
-/// packets to outputs 2j / 2j+1 / both, per the head tag. Fills
-/// `delivered` and asserts no output conflict. `explain` (optional)
+/// packets to outputs 2j / 2j+1 / both, per the head tag (`heads`, the ε
+/// family on an empty line; `sources[i]` is line i's originating input).
+/// Fills `delivered` and asserts no output conflict. `explain` (optional)
 /// records the equivalent 2x2 setting of each switch under
-/// RouteRule::FinalDelivery. `heatmap` (optional) accumulates the final
-/// level's switch activity from the entering line state.
+/// RouteRule::FinalDelivery. The packed drivers call this with the head
+/// tags they derive from their line records.
+void deliver_final_heads(std::span<const Tag> heads,
+                         std::span<const std::size_t> sources,
+                         std::vector<std::optional<std::size_t>>& delivered,
+                         RoutingStats* stats,
+                         const ExplainSink* explain = nullptr);
+
+/// deliver_final_heads over the scalar engine's line state, each packet's
+/// stream down to its last tag. `heatmap` (optional) accumulates the
+/// final level's switch activity from the entering line state.
 void deliver_final_level(const std::vector<LineValue>& lines,
                          std::vector<std::optional<std::size_t>>& delivered,
                          RoutingStats* stats,

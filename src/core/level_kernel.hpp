@@ -102,9 +102,47 @@ struct LevelKernel {
 /// i holds bit p of i); the three tag planes stay zero.
 void load_identity_codes(LevelKernel& kx);
 
+/// The head tag a_0 of a line record at the level whose BSN midpoint is
+/// address bit `bit` (bit = m - k at level k; 0 at the final level).
+/// dests[lo, hi) is sorted and shares every address bit above `bit`, so
+/// `bit` is monotone over the range and the lower_bound of the node
+/// midpoint reduces to the two end points: α when the range straddles
+/// the midpoint, 0 / 1 when it lies wholly below / above it, ε for an
+/// empty line or an empty range.
+inline Tag head_tag(const LineRecord& r, const std::uint32_t* dests,
+                    int bit) {
+  if (r.empty() || r.lo >= r.hi) return Tag::Eps;
+  const bool first_up = (dests[r.lo] >> bit) & 1u;
+  const bool last_up = (dests[r.hi - 1] >> bit) & 1u;
+  if (first_up == last_up) return first_up ? Tag::One : Tag::Zero;
+  return Tag::Alpha;
+}
+
+/// The lower_bound of the node midpoint within dests[lo, hi): the first
+/// index whose address bit `bit` is set. Exit tag 0 keeps [lo, split),
+/// exit tag 1 keeps [split, hi). Constant time unless the range
+/// straddles the midpoint (a broadcast parent).
+inline std::uint32_t split_point(const std::uint32_t* dests, std::uint32_t lo,
+                                 std::uint32_t hi, int bit) {
+  if (lo >= hi || !((dests[hi - 1] >> bit) & 1u)) return hi;
+  if ((dests[lo] >> bit) & 1u) return lo;
+  std::uint32_t a = lo + 1;  // dests[lo] is below, dests[hi-1] above
+  std::uint32_t b = hi - 1;
+  while (a < b) {
+    const std::uint32_t mid = a + (b - a) / 2;
+    if ((dests[mid] >> bit) & 1u) {
+      b = mid;
+    } else {
+      a = mid + 1;
+    }
+  }
+  return a;
+}
+
 /// load_identity_codes plus the transposed Table 1 tag encoding of the
-/// level's line state.
-void load_lines(LevelKernel& kx, const std::vector<LineValue>& lines);
+/// level's line records, whose head tags are derived at midpoint `bit`.
+void load_lines(LevelKernel& kx, std::span<const LineRecord> lines,
+                const std::uint32_t* dests, int bit);
 
 /// Propagate the planes through the configured scatter stages, latching
 /// broadcast parent codes and emitting event codes (see
@@ -137,7 +175,8 @@ struct ReplayWorkspace {
 /// per level) plus every per-level buffer the configuration sweeps need —
 /// the SoA tag censuses, the ε0 selection plane, the scatter type tree
 /// (flat, level j at offset 2n - n/2^(j-1)), the backward-sweep run
-/// starts, the per-block entry tallies, and the gather double buffer.
+/// starts, the per-block entry tallies, and the line records with their
+/// gather double buffer and destination array.
 /// First route allocates once; warm compiles reuse everything.
 struct CompileWorkspace {
   LevelKernel kx;
@@ -152,11 +191,20 @@ struct CompileWorkspace {
   std::vector<std::size_t> in_ones;
   std::vector<std::size_t> in_alphas;
   std::vector<std::size_t> in_epses;
-  std::vector<LineValue> line_buf;        ///< gather output double buffer
+  /// The route's line state between levels (see LineRecord) and the
+  /// gather's double buffer.
+  std::vector<LineRecord> lines;
+  std::vector<LineRecord> line_buf;
+  /// Every source's sorted destinations, concatenated in source order:
+  /// the array LineRecord ranges index.
+  std::vector<std::uint32_t> dests;
   std::vector<std::uint8_t> side_done;    ///< per-event first-copy latch
 
   CompileWorkspace(std::size_t n, int m)
       : kx(n, m, m), eps0_sel(packed::words_for(n), 0) {
+    lines.reserve(n);
+    line_buf.reserve(n);
+    dests.reserve(n);
     type.reserve(2 * n);
     start.reserve(n / 2);
     next.reserve(n / 2);

@@ -35,6 +35,33 @@ struct LineValue {
   friend bool operator==(const LineValue&, const LineValue&) = default;
 };
 
+/// One line of the packed drivers' state between levels. A BSN level
+/// only ever reads a packet's head tag a_0, and that tag is a pure
+/// function of the packet's destination set and the tag-tree node
+/// (Figs. 9/11) the copy has reached. So instead of the (n-1)-tag header
+/// stream, the packed drivers carry the half-open range [lo, hi) of the
+/// source's sorted destinations still under that node (indices into a
+/// flat per-route destination array). A copy at level k sits at the node
+/// whose address block all of dests[lo, hi) share above bit m-k; its head
+/// tag is 0 / 1 / α when the range lies below / above / across that
+/// bit's midpoint (pkern::head_tag), and leaving the level keeps the half
+/// named by the exit tag. The scalar engine carries the Section 7.1
+/// streams; LineValue is the view both engines agree on.
+struct LineRecord {
+  static constexpr std::uint32_t kNoSource = ~std::uint32_t{0};
+
+  std::uint32_t source = kNoSource;  ///< kNoSource: the line is empty
+  std::uint32_t lo = 0;              ///< destination range [lo, hi)
+  std::uint32_t hi = 0;
+  /// The tag the line left its last level with (ε family for an empty
+  /// line); the level self-check reads it.
+  Tag exit = Tag::Eps;
+  std::uint64_t copy_id = 0;
+  std::uint64_t parent_id = 0;
+
+  bool empty() const { return source == kNoSource; }
+};
+
 /// An empty (ε) line.
 inline LineValue eps_line() { return LineValue{}; }
 

@@ -15,6 +15,7 @@
 #include "core/quasisort.hpp"
 #include "core/route_plan.hpp"
 #include "core/scatter.hpp"
+#include "core/tag_sequence.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/locate.hpp"
 #include "fault/self_check.hpp"
@@ -429,19 +430,22 @@ void load_identity_codes(LevelKernel& kx) {
   }
 }
 
-/// Transpose the level's line state into the kernel's planes: codes are
-/// the line indices, tags the Table 1 encoding (b0 = plane 0 of the tag
-/// planes). All plane bits at positions >= n stay zero: the byte stage
-/// buffer's tail bytes are zero, and the zero encoding contributes no
-/// plane bits. One branch-free encode sweep plus one tag_pack transpose
-/// replaces the three conditional bit-sets per line.
-void load_lines(LevelKernel& kx, const std::vector<LineValue>& lines) {
+/// Transpose the level's line records into the kernel's planes: codes
+/// are the line indices, tags the Table 1 encoding (b0 = plane 0 of the
+/// tag planes) of each record's derived head tag. All plane bits at
+/// positions >= n stay zero: the byte stage buffer's tail bytes are zero,
+/// and the zero encoding contributes no plane bits. One branch-free
+/// encode sweep plus one tag_pack transpose replaces the three
+/// conditional bit-sets per line.
+void load_lines(LevelKernel& kx, std::span<const LineRecord> lines,
+                const std::uint32_t* dests, int bit) {
   load_identity_codes(kx);
   const std::size_t n = kx.n;
   const std::size_t wpl = kx.state.words_per_plane();
   std::uint8_t* enc = kx.tag_bytes.data();
   for (std::size_t i = 0; i < n; ++i) {
-    enc[i] = kTagEncoding[static_cast<std::uint8_t>(lines[i].tag)];
+    enc[i] = kTagEncoding[static_cast<std::uint8_t>(
+        head_tag(lines[i], dests, bit))];
   }
   kx.ops->tag_pack(enc, kx.tag_plane(0).data(), kx.tag_plane(1).data(),
                    kx.tag_plane(2).data(), wpl);
@@ -717,27 +721,34 @@ std::vector<ScatterNodeValue> configure_scatter_packed(
 /// reserve their ids. The scalar engines allocate during propagation:
 /// stage-major over the fabric for the feedback engine, and BSN-block-
 /// major (each BSN fully routed before the next) for the unrolled engine.
-/// The per-stage lists are already (stage, line)-ascending, so a stable
-/// sort by BSN block reproduces the unrolled order exactly.
+/// The per-stage lists are already (stage, line)-ascending, so draining
+/// each BSN block's run from every stage's list in turn (a stable sort by
+/// BSN block) reproduces the unrolled order exactly.
 void finalize_events(LevelKernel& kx, bool bsn_block_major,
                      std::uint64_t& next_copy_id, RoutingStats* stats) {
-  std::vector<BcastEvent*> flat;
-  for (auto& stage : kx.events) {
-    for (auto& ev : stage) flat.push_back(&ev);
-  }
+  const int S = kx.stages;
+  std::size_t ord = 0;
   if (bsn_block_major) {
-    const int S = kx.stages;
-    std::stable_sort(flat.begin(), flat.end(),
-                     [S](const BcastEvent* a, const BcastEvent* b) {
-                       return (a->upper >> S) < (b->upper >> S);
-                     });
+    std::size_t cursor[64] = {};
+    for (std::size_t bb = 0; bb < (kx.n >> S); ++bb) {
+      for (int j = 0; j < S; ++j) {
+        auto& evs = kx.events[static_cast<std::size_t>(j)];
+        std::size_t& c = cursor[j];
+        while (c < evs.size() && (evs[c].upper >> S) == bb) {
+          evs[c++].ord = ord++;
+        }
+      }
+    }
+  } else {
+    for (int j = 0; j < S; ++j) {
+      for (auto& ev : kx.events[static_cast<std::size_t>(j)]) ev.ord = ord++;
+    }
   }
-  for (std::size_t r = 0; r < flat.size(); ++r) flat[r]->ord = r;
-  kx.num_events = flat.size();
-  kx.parent_code.assign(flat.size(), 0);
+  kx.num_events = ord;
+  kx.parent_code.assign(ord, 0);
   kx.copy_id_base = next_copy_id;
-  next_copy_id += 2 * flat.size();
-  if (stats) stats->broadcast_ops += flat.size();
+  next_copy_id += 2 * ord;
+  if (stats) stats->broadcast_ops += ord;
 }
 
 /// Word-parallel ε-division, per BSN block: the scalar greedy descent
@@ -824,75 +835,195 @@ void configure_quasisort_packed(pkern::CompileWorkspace& ws,
   }
 }
 
-/// Rebuild the level's LineValue vector from the planes after the
-/// quasisort datapath: codes below n move the corresponding input packet;
-/// event codes materialize the scalar engine's broadcast copies (0-copy on
-/// the even code) from the latched parent packet. `lines` is replaced by
-/// the gathered state via the workspace's double buffer; the tag decode
-/// is one tag_unpack transpose instead of three bit probes per line.
-void gather_lines(pkern::CompileWorkspace& ws, std::vector<LineValue>& lines) {
-  LevelKernel& kx = ws.kx;
-  const std::size_t n = kx.n;
-  std::vector<LineValue>& prev = lines;
-  std::vector<LineValue>& out = ws.line_buf;
-  out.clear();
-  out.resize(n);
-  kx.ops->tag_unpack(kx.tag_plane(0).data(), kx.tag_plane(1).data(),
-                     kx.tag_plane(2).data(), kx.tag_bytes.data(),
-                     kx.state.words_per_plane());
-  // One a_0 is consumed per level, so a line splits at most once per
-  // level: once both of an event's copies are materialized its parent
-  // packet is dead, and the second copy can steal the parent's stream
-  // instead of duplicating it.
-  std::vector<std::uint8_t>& first_side_done = ws.side_done;
-  first_side_done.assign(kx.num_events, 0);
-  for (std::size_t p = 0; p < n; ++p) {
-    const Tag tag = decode(kx.tag_bytes[p]);
-    if (is_empty(tag)) {
-      out[p].tag = tag;
-      continue;
-    }
-    const auto code = static_cast<std::size_t>(kx.state.get(p, 0, kx.wcode));
-    if (code < n) {
-      BRSMN_ENSURES_MSG(prev[code].packet.has_value(),
-                        "packed gather: occupied line's code has no packet");
-      out[p].tag = tag;
-      out[p].packet = std::move(prev[code].packet);
-      continue;
-    }
-    const std::size_t ev = (code - n) / 2;
-    const std::size_t side = (code - n) % 2;
-    BRSMN_ENSURES(ev < kx.num_events);
-    BRSMN_ENSURES_MSG(prev[kx.parent_code[ev]].packet.has_value(),
-                      "packed gather: broadcast parent packet missing");
-    Packet& parent = *prev[kx.parent_code[ev]].packet;
-    Packet copy{parent.source, kx.copy_id_base + 2 * ev + side,
-                parent.copy_id, {}};
-    if (first_side_done[ev] != 0) {
-      copy.stream = std::move(parent.stream);
-    } else {
-      copy.stream = parent.stream;
-      first_side_done[ev] = 1;
-    }
-    out[p] = occupied_line(tag, std::move(copy));
+/// The route's initial line records: input i holds copy `next_copy_id++`
+/// of its message (ids handed out in input order, as initial_lines does)
+/// with its whole sorted destination list, which is appended to the
+/// workspace's flat destination array.
+void begin_lines(pkern::CompileWorkspace& ws,
+                 const MulticastAssignment& assignment,
+                 std::uint64_t& next_copy_id) {
+  const std::size_t n = assignment.size();
+  ws.dests.clear();
+  ws.lines.assign(n, LineRecord{});
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& d = assignment.destinations(i);
+    if (d.empty()) continue;
+    LineRecord& r = ws.lines[i];
+    r.source = static_cast<std::uint32_t>(i);
+    r.lo = static_cast<std::uint32_t>(ws.dests.size());
+    ws.dests.insert(ws.dests.end(), d.begin(), d.end());
+    r.hi = static_cast<std::uint32_t>(ws.dests.size());
+    r.copy_id = next_copy_id++;
+    r.parent_id = r.copy_id;
   }
-  lines.swap(out);
 }
 
-/// Pack the tag planes of the line state entering the final 2x2-switch
-/// level into the plan, for replay-time dead-line screening.
-void capture_final_planes(const std::vector<LineValue>& lines,
-                          RoutePlan& plan) {
-  const std::size_t wpl = pk::words_for(lines.size());
-  plan.final_t0.assign(wpl, 0);
-  plan.final_t1.assign(wpl, 0);
-  plan.final_t2.assign(wpl, 0);
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    const std::uint8_t enc = encode(lines[i].tag);
-    if (enc & 0b100u) pk::plane_set(plan.final_t0, i, true);
-    if (enc & 0b010u) pk::plane_set(plan.final_t1, i, true);
-    if (enc & 0b001u) pk::plane_set(plan.final_t2, i, true);
+/// The scalar engine's view of the line records entering the level whose
+/// BSN midpoint is address bit `bit`: each occupied line's packet carries
+/// the Section 7.1 stream of the destinations in its range, rebased to
+/// the node's 2^(bit+1)-address block — exactly the stream the scalar
+/// engine's advance_streams has split down to by this level. Built only
+/// for RouteOptions::capture_levels.
+std::vector<LineValue> line_values(const pkern::CompileWorkspace& ws,
+                                   int bit) {
+  const std::size_t block = std::size_t{1} << (bit + 1);
+  std::vector<LineValue> out(ws.lines.size());
+  std::vector<std::size_t> rebased;
+  for (std::size_t i = 0; i < ws.lines.size(); ++i) {
+    const LineRecord& r = ws.lines[i];
+    if (r.empty()) continue;
+    rebased.assign(ws.dests.begin() + r.lo, ws.dests.begin() + r.hi);
+    for (std::size_t& d : rebased) d &= block - 1;
+    Packet p{r.source, r.copy_id, r.parent_id, {}};
+    encode_sequence_into(rebased, block, p.stream);
+    const Tag head = p.stream.front();
+    out[i] = occupied_line(head, std::move(p));
   }
+  return out;
+}
+
+/// decode() as a lookup for the gather loop. The three bit patterns
+/// Table 1 leaves unused map to Eps, which no occupied line can carry.
+constexpr Tag kTagDecoding[8] = {Tag::Zero, Tag::One,   Tag::Eps,  Tag::Eps,
+                                 Tag::Alpha, Tag::Eps, Tag::Eps0, Tag::Eps1};
+
+/// Rebuild the level's line records from the planes after the quasisort
+/// datapath: codes below n move the corresponding input record; event
+/// codes materialize the scalar engine's broadcast copies (0-copy on the
+/// even code) from the latched parent record. Every record then keeps the
+/// half of its destination range that its exit tag names (`bit` is the
+/// level's midpoint bit) and remembers the exit tag for the self-check.
+/// The tag decode is one tag_unpack transpose, and the codes of each
+/// word's occupied lines are transposed out of the code planes together.
+void gather_lines(pkern::CompileWorkspace& ws, int bit) {
+  LevelKernel& kx = ws.kx;
+  const std::size_t n = kx.n;
+  std::vector<LineRecord>& prev = ws.lines;
+  std::vector<LineRecord>& out = ws.line_buf;
+  out.resize(n);
+  const std::uint32_t* dests = ws.dests.data();
+  const std::size_t wpl = kx.state.words_per_plane();
+  kx.ops->tag_unpack(kx.tag_plane(0).data(), kx.tag_plane(1).data(),
+                     kx.tag_plane(2).data(), kx.tag_bytes.data(), wpl);
+  const auto t0 = kx.tag_plane(0);
+  const auto t1 = kx.tag_plane(1);
+  const std::uint64_t* code_planes = kx.state.words().data();
+  const std::size_t stride = kx.state.plane_stride();
+  // A record is consumed as the scalar engine consumes a packet: an input
+  // moves out of its line, and a broadcast parent dies once both of its
+  // copies exist. Clearing a consumed record makes a datapath fault that
+  // reads one packet twice fail here, as it does on the stream path.
+  std::vector<std::uint8_t>& first_side_done = ws.side_done;
+  first_side_done.assign(kx.num_events, 0);
+  std::size_t codes[pk::kWordBits];
+  for (std::size_t w = 0; w < wpl; ++w) {
+    const std::size_t first = w * pk::kWordBits;
+    const std::size_t lim = std::min(pk::kWordBits, n - first);
+    // Occupied lines are the ones outside the ε family (b0 b1 = 11).
+    const std::uint64_t occupied =
+        ~(t0[w] & t1[w]) & (lim == pk::kWordBits ? ~std::uint64_t{0}
+                                                 : pk::tail_mask(n));
+    std::fill_n(codes, lim, std::size_t{0});
+    for (std::size_t q = 0; q < kx.wcode; ++q) {
+      for (std::uint64_t x = code_planes[q * stride + w] & occupied; x != 0;
+           x &= x - 1) {
+        codes[std::countr_zero(x)] |= std::size_t{1} << q;
+      }
+    }
+    for (std::size_t b = 0; b < lim; ++b) {
+      const std::size_t p = first + b;
+      const std::uint8_t enc = kx.tag_bytes[p];
+      const Tag tag = kTagDecoding[enc];
+      LineRecord& r = out[p];
+      if (((occupied >> b) & 1u) == 0) {
+        r = LineRecord{};
+        r.exit = tag;
+        continue;
+      }
+      BRSMN_ENSURES_MSG(tag != Tag::Eps, "packed gather: invalid tag encoding");
+      const std::size_t code = codes[b];
+      if (code < n) {
+        BRSMN_ENSURES_MSG(!prev[code].empty(),
+                          "packed gather: occupied line's code has no packet");
+        r = prev[code];
+        prev[code].source = LineRecord::kNoSource;
+      } else {
+        const std::size_t ev = (code - n) / 2;
+        const std::size_t side = (code - n) % 2;
+        BRSMN_ENSURES(ev < kx.num_events);
+        LineRecord& parent = prev[kx.parent_code[ev]];
+        BRSMN_ENSURES_MSG(!parent.empty(),
+                          "packed gather: broadcast parent packet missing");
+        r = parent;
+        r.copy_id = kx.copy_id_base + 2 * ev + side;
+        r.parent_id = parent.copy_id;
+        if (first_side_done[ev] != 0) {
+          parent.source = LineRecord::kNoSource;
+        } else {
+          first_side_done[ev] = 1;
+        }
+      }
+      r.exit = tag;
+      const std::uint32_t split = pkern::split_point(dests, r.lo, r.hi, bit);
+      if (tag == Tag::Zero) r.hi = split;
+      if (tag == Tag::One) r.lo = split;
+    }
+  }
+  prev.swap(out);
+}
+
+/// The end of every switch level, compiled or adopted: gather the line
+/// records out of the planes, then (when checking) run the level
+/// self-check on them, all under the level's settled detection point.
+void finish_level(pkern::CompileWorkspace& ws, std::size_t n, int k,
+                  bool checking, std::uint64_t route_ord) {
+  const int bit = ws.kx.stages - 1;
+  if (!checking) {
+    gather_lines(ws, bit);
+    return;
+  }
+  fault::guard(true, n, route_ord, k, std::nullopt, true, [&] {
+    gather_lines(ws, bit);
+    fault::self_check_level(std::span<const LineRecord>(ws.lines), k,
+                            route_ord);
+  });
+}
+
+/// The final 2x2-switch level over the line records: deliver_final_heads
+/// with each record's head tag at address bit 0. The caller has loaded
+/// the kernel's tag planes with the entering state (load_final_level),
+/// which the heatmap samples.
+void deliver_final_lines(pkern::CompileWorkspace& ws,
+                         std::vector<std::optional<std::size_t>>& delivered,
+                         RoutingStats* stats, const ExplainSink* explain,
+                         obs::FabricHeatmap* heatmap) {
+  LevelKernel& kx = ws.kx;
+  if (heatmap != nullptr) {
+    heatmap->record_final_tags(kx.tag_plane(0), kx.tag_plane(1));
+  }
+  const std::size_t n = kx.n;
+  std::vector<Tag> heads(n);
+  std::vector<std::size_t> sources(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const LineRecord& r = ws.lines[i];
+    heads[i] = pkern::head_tag(r, ws.dests.data(), 0);
+    if (!r.empty()) sources[i] = r.source;
+  }
+  deliver_final_heads(heads, sources, delivered, stats, explain);
+}
+
+/// Load the tag planes of the line state entering the final 2x2-switch
+/// level (head tags at address bit 0).
+void load_final_level(pkern::CompileWorkspace& ws) {
+  load_lines(ws.kx, ws.lines, ws.dests.data(), 0);
+}
+
+/// Copy the final level's entry tag planes (load_final_level) into the
+/// plan, for replay-time dead-line screening.
+void capture_final_planes(const LevelKernel& kx, RoutePlan& plan) {
+  plan.final_t0.assign(kx.tag_plane(0).begin(), kx.tag_plane(0).end());
+  plan.final_t1.assign(kx.tag_plane(1).begin(), kx.tag_plane(1).end());
+  plan.final_t2.assign(kx.tag_plane(2).begin(), kx.tag_plane(2).end());
 }
 
 /// Copy the cold route's outputs into the plan once the route has fully
@@ -943,7 +1074,6 @@ bool entry_planes_match(LevelKernel& kx, const PlanLevel& old) {
 /// PlanLevel's entry-plane capture.
 void compile_level_unrolled(std::vector<Bsn>& level, std::size_t n, int k,
                             pkern::CompileWorkspace& ws,
-                            std::vector<LineValue>& lines,
                             std::uint64_t& next_copy_id, PlanLevel* pl,
                             RouteResult& result, const RouteOptions& options,
                             obs::RouteProbe& probe, bool checking,
@@ -988,9 +1118,7 @@ void compile_level_unrolled(std::vector<Bsn>& level, std::size_t n, int k,
   seam.engine = RouteEngine::Packed;
 
   if (scatter_pass != nullptr) {
-    std::vector<Tag> tags(n);
-    for (std::size_t i = 0; i < n; ++i) tags[i] = lines[i].tag;
-    scatter_sink.record_input_tags(tags);
+    scatter_sink.record_input_tags(materialize_tags(kx, /*collapse=*/true));
   }
 
   pk::TagCensus& census = ws.census;
@@ -1017,17 +1145,6 @@ void compile_level_unrolled(std::vector<Bsn>& level, std::size_t n, int k,
                         "BSN input violates n0 + n_alpha <= n/2 (Eq. 2)");
       BRSMN_EXPECTS_MSG(in_ones[bb] + in_alphas[bb] <= bsn_size / 2,
                         "BSN input violates n1 + n_alpha <= n/2 (Eq. 2)");
-      for (std::size_t i = bb * bsn_size; i < (bb + 1) * bsn_size; ++i) {
-        BRSMN_EXPECTS_MSG(
-            lines[i].empty() == !lines[i].packet.has_value(),
-            "occupied lines must carry a packet, eps lines none");
-        if (lines[i].packet) {
-          BRSMN_EXPECTS_MSG(
-              !lines[i].packet->stream.empty() &&
-                  lines[i].packet->stream.front() == lines[i].tag,
-              "line tag must equal the packet's current a_0");
-        }
-      }
     }
 
     obs::PhaseTimer scatter_timer(probe.scatter);
@@ -1168,16 +1285,7 @@ void compile_level_unrolled(std::vector<Bsn>& level, std::size_t n, int k,
                               kx.state.words().end());
   }
 
-  if (checking) {
-    fault::guard(true, n, route_ord, k, std::nullopt, true, [&] {
-      gather_lines(ws, lines);
-      advance_streams(lines);
-      fault::self_check_level(lines, k, route_ord);
-    });
-  } else {
-    gather_lines(ws, lines);
-    advance_streams(lines);
-  }
+  finish_level(ws, n, k, checking, route_ord);
   // All BSNs of one level route concurrently: charge the level's delay
   // once, not per block.
   result.stats.gate_delay += bsn_routing_delay(S);
@@ -1190,7 +1298,6 @@ void compile_level_unrolled(std::vector<Bsn>& level, std::size_t n, int k,
 /// fabric), shared with planner::patch_route like compile_level_unrolled.
 void compile_level_feedback(Rbn& fabric, std::size_t n, int m, int k,
                             pkern::CompileWorkspace& ws,
-                            std::vector<LineValue>& lines,
                             std::uint64_t& next_copy_id, PlanLevel* pl,
                             RouteResult& result, const RouteOptions& options,
                             obs::RouteProbe& probe, bool checking,
@@ -1234,9 +1341,7 @@ void compile_level_feedback(Rbn& fabric, std::size_t n, int m, int k,
   fault::guard(checking, n, route_ord, k, PassKind::Scatter, false, [&] {
     fabric.reset();
     if (scatter_sink.pass != nullptr) {
-      std::vector<Tag> tags(n);
-      for (std::size_t i = 0; i < n; ++i) tags[i] = lines[i].tag;
-      scatter_sink.record_input_tags(tags);
+      scatter_sink.record_input_tags(materialize_tags(kx, /*collapse=*/true));
     }
     build_census(ws.census, kx);
     obs::PhaseTimer scatter_timer(probe.scatter);
@@ -1343,16 +1448,7 @@ void compile_level_feedback(Rbn& fabric, std::size_t n, int m, int k,
   result.stats.gate_delay +=
       2 * config_sweep_delay(top_stage) + datapath_delay(m);
 
-  if (checking) {
-    fault::guard(true, n, route_ord, k, std::nullopt, true, [&] {
-      gather_lines(ws, lines);
-      advance_streams(lines);
-      fault::self_check_level(lines, k, route_ord);
-    });
-  } else {
-    gather_lines(ws, lines);
-    advance_streams(lines);
-  }
+  finish_level(ws, n, k, checking, route_ord);
   result.broadcasts_per_level.push_back(result.stats.broadcast_ops -
                                         splits_before);
   if (pl != nullptr) pl->stats_delta = stats_diff(result.stats, entry_stats);
@@ -1367,7 +1463,6 @@ void compile_level_feedback(Rbn& fabric, std::size_t n, int m, int k,
 void reuse_level_state(const PlanLevel& old,
                        const RouteExplanation* base_explanation, std::size_t n,
                        int k, pkern::CompileWorkspace& ws,
-                       std::vector<LineValue>& lines,
                        std::uint64_t& next_copy_id, RouteResult& result,
                        const RouteOptions& options, bool checking) {
   LevelKernel& kx = ws.kx;
@@ -1386,16 +1481,7 @@ void reuse_level_state(const PlanLevel& old,
     result.explanation->passes.push_back(passes[first]);
     result.explanation->passes.push_back(passes[first + 1]);
   }
-  if (checking) {
-    fault::guard(true, n, 0, k, std::nullopt, true, [&] {
-      gather_lines(ws, lines);
-      advance_streams(lines);
-      fault::self_check_level(lines, k, 0);
-    });
-  } else {
-    gather_lines(ws, lines);
-    advance_streams(lines);
-  }
+  finish_level(ws, n, k, checking, /*route_ord=*/0);
   result.stats += old.stats_delta;
   result.broadcasts_per_level.push_back(old.stats_delta.broadcast_ops);
 }
@@ -1407,7 +1493,6 @@ void reuse_level_state(const PlanLevel& old,
 void reuse_level_unrolled(std::vector<Bsn>& level, const PlanLevel& old,
                           const RouteExplanation* base_explanation,
                           std::size_t n, int k, pkern::CompileWorkspace& ws,
-                          std::vector<LineValue>& lines,
                           std::uint64_t& next_copy_id, RouteResult& result,
                           const RouteOptions& options, obs::RouteProbe& probe,
                           bool checking) {
@@ -1430,8 +1515,8 @@ void reuse_level_unrolled(std::vector<Bsn>& level, const PlanLevel& old,
           j, qrow.subspan(bb * bsn_row, bsn_row));
     }
   }
-  reuse_level_state(old, base_explanation, n, k, ws, lines, next_copy_id,
-                    result, options, checking);
+  reuse_level_state(old, base_explanation, n, k, ws, next_copy_id, result,
+                    options, checking);
 }
 
 /// Adopt one stored level verbatim on the feedback fabric: both passes'
@@ -1440,7 +1525,6 @@ void reuse_level_unrolled(std::vector<Bsn>& level, const PlanLevel& old,
 void reuse_level_feedback(Rbn& fabric, const PlanLevel& old,
                           const RouteExplanation* base_explanation,
                           std::size_t n, int k, pkern::CompileWorkspace& ws,
-                          std::vector<LineValue>& lines,
                           std::uint64_t& next_copy_id, RouteResult& result,
                           const RouteOptions& options, obs::RouteProbe& probe,
                           bool checking) {
@@ -1455,8 +1539,8 @@ void reuse_level_feedback(Rbn& fabric, const PlanLevel& old,
   for (std::size_t j = 0; j < old.quasisort_settings.size(); ++j) {
     fabric.install_stage(static_cast<int>(j + 1), old.quasisort_settings[j]);
   }
-  reuse_level_state(old, base_explanation, n, k, ws, lines, next_copy_id,
-                    result, options, checking);
+  reuse_level_state(old, base_explanation, n, k, ws, next_copy_id, result,
+                    options, checking);
 }
 
 }  // namespace
@@ -1509,12 +1593,9 @@ RouteResult packed_route(Brsmn& net, const MulticastAssignment& assignment,
   if (options.fault_activity != nullptr) options.fault_activity->clear();
 
   try {
-  std::uint64_t next_copy_id = 1;
-  std::vector<LineValue> lines = initial_lines(assignment, next_copy_id);
-
   // Per-network compile workspace: the widest-level kernel plus every
-  // census/configuration buffer, allocated on the first route and reused
-  // by every later compile and patch.
+  // census/configuration buffer and the line records, allocated on the
+  // first route and reused by every later compile and patch.
   if (net.compile_ws_ == nullptr) {
     net.compile_ws_ = std::make_unique<pkern::CompileWorkspace>(n, m);
   }
@@ -1522,16 +1603,20 @@ RouteResult packed_route(Brsmn& net, const MulticastAssignment& assignment,
   pkern::LevelKernel& kx = ws.kx;
   kx.ops = &simd::ops(options.simd_backend);
   kx.heat = heatmap;
+  std::uint64_t next_copy_id = 1;
+  begin_lines(ws, assignment, next_copy_id);
 
   for (int k = 1; k <= m - 1; ++k) {
-    if (options.capture_levels) result.level_inputs.push_back(lines);
+    const int S = log2_exact(n >> (k - 1));
+    if (options.capture_levels) {
+      result.level_inputs.push_back(line_values(ws, S - 1));
+    }
     fault::apply_dead_lines(options.faults, route_ord, k,
                             fault::ImplKind::Unrolled, RouteEngine::Packed,
-                            lines, options.fault_activity);
-    const int S = log2_exact(n >> (k - 1));
+                            ws.lines, options.fault_activity);
     kx.begin_level(S);
     kx.heat_level = k;
-    load_lines(kx, lines);
+    load_lines(kx, ws.lines, ws.dests.data(), S - 1);
     PlanLevel* pl = nullptr;
     if (plan != nullptr) {
       pl = &plan->levels.emplace_back();
@@ -1541,15 +1626,16 @@ RouteResult packed_route(Brsmn& net, const MulticastAssignment& assignment,
       pl->entry_t2.assign(kx.tag_plane(2).begin(), kx.tag_plane(2).end());
     }
     compile_level_unrolled(net.levels_[static_cast<std::size_t>(k - 1)], n, k,
-                           ws, lines, next_copy_id, pl, result, options,
-                           probe, checking, route_ord);
+                           ws, next_copy_id, pl, result, options, probe,
+                           checking, route_ord);
   }
 
-  if (options.capture_levels) result.level_inputs.push_back(lines);
+  if (options.capture_levels) result.level_inputs.push_back(line_values(ws, 0));
   fault::apply_dead_lines(options.faults, route_ord, m,
                           fault::ImplKind::Unrolled, RouteEngine::Packed,
-                          lines, options.fault_activity);
-  if (plan != nullptr) capture_final_planes(lines, *plan);
+                          ws.lines, options.fault_activity);
+  load_final_level(ws);
+  if (plan != nullptr) capture_final_planes(kx, *plan);
   const std::size_t splits_before_final = result.stats.broadcast_ops;
   {
     obs::PhaseTimer final_timer(probe.datapath);
@@ -1562,7 +1648,7 @@ RouteResult packed_route(Brsmn& net, const MulticastAssignment& assignment,
       final_sink.pass = &result.explanation->passes.back();
     }
     fault::guard(checking, n, route_ord, m, PassKind::Final, true, [&] {
-      deliver_final_level(lines, result.delivered, &result.stats,
+      deliver_final_lines(ws, result.delivered, &result.stats,
                           options.explain ? &final_sink : nullptr, heatmap);
     });
   }
@@ -1637,9 +1723,6 @@ RouteResult packed_route(FeedbackBrsmn& net,
   if (options.fault_activity != nullptr) options.fault_activity->clear();
 
   try {
-  std::uint64_t next_copy_id = 1;
-  std::vector<LineValue> lines = initial_lines(assignment, next_copy_id);
-
   // See the unrolled driver: per-network workspace, reused every route.
   if (net.compile_ws_ == nullptr) {
     net.compile_ws_ = std::make_unique<pkern::CompileWorkspace>(n, m);
@@ -1648,16 +1731,20 @@ RouteResult packed_route(FeedbackBrsmn& net,
   pkern::LevelKernel& kx = ws.kx;
   kx.ops = &simd::ops(options.simd_backend);
   kx.heat = heatmap;
+  std::uint64_t next_copy_id = 1;
+  begin_lines(ws, assignment, next_copy_id);
 
   for (int k = 1; k <= m - 1; ++k) {
-    if (options.capture_levels) result.level_inputs.push_back(lines);
+    const int top_stage = m - k + 1;  // level-k BSN size is 2^top_stage
+    if (options.capture_levels) {
+      result.level_inputs.push_back(line_values(ws, top_stage - 1));
+    }
     fault::apply_dead_lines(options.faults, route_ord, k,
                             fault::ImplKind::Feedback, RouteEngine::Packed,
-                            lines, options.fault_activity);
-    const int top_stage = m - k + 1;  // level-k BSN size is 2^top_stage
+                            ws.lines, options.fault_activity);
     kx.begin_level(top_stage);
     kx.heat_level = k;
-    load_lines(kx, lines);
+    load_lines(kx, ws.lines, ws.dests.data(), top_stage - 1);
     PlanLevel* pl = nullptr;
     if (plan != nullptr) {
       pl = &plan->levels.emplace_back();
@@ -1666,16 +1753,17 @@ RouteResult packed_route(FeedbackBrsmn& net,
       pl->entry_t1.assign(kx.tag_plane(1).begin(), kx.tag_plane(1).end());
       pl->entry_t2.assign(kx.tag_plane(2).begin(), kx.tag_plane(2).end());
     }
-    compile_level_feedback(net.fabric_, n, m, k, ws, lines, next_copy_id, pl,
-                           result, options, probe, checking, route_ord);
+    compile_level_feedback(net.fabric_, n, m, k, ws, next_copy_id, pl, result,
+                           options, probe, checking, route_ord);
   }
 
   // Final pass: the 2x2-switch level, realized by stage 1 of the fabric.
-  if (options.capture_levels) result.level_inputs.push_back(lines);
+  if (options.capture_levels) result.level_inputs.push_back(line_values(ws, 0));
   fault::apply_dead_lines(options.faults, route_ord, m,
                           fault::ImplKind::Feedback, RouteEngine::Packed,
-                          lines, options.fault_activity);
-  if (plan != nullptr) capture_final_planes(lines, *plan);
+                          ws.lines, options.fault_activity);
+  load_final_level(ws);
+  if (plan != nullptr) capture_final_planes(kx, *plan);
   const std::size_t splits_before_final = result.stats.broadcast_ops;
   {
     obs::PhaseTimer final_timer(probe.datapath);
@@ -1687,7 +1775,7 @@ RouteResult packed_route(FeedbackBrsmn& net,
       final_sink.pass = &result.explanation->passes.back();
     }
     fault::guard(checking, n, route_ord, m, PassKind::Final, true, [&] {
-      deliver_final_level(lines, result.delivered, &result.stats,
+      deliver_final_lines(ws, result.delivered, &result.stats,
                           options.explain ? &final_sink : nullptr, heatmap);
     });
   }
@@ -1780,14 +1868,11 @@ planner::PatchOutcome patch_route_core(
   out.levels.reserve(static_cast<std::size_t>(m - 1));
 
   const bool checking = options.self_check;
-  std::uint64_t next_copy_id = 1;
-  std::vector<LineValue> lines = initial_lines(assignment, next_copy_id);
 
   // Recompile budget: one more dirty level than this abandons the patch.
-  // Dirtiness is not monotone in depth — a level's entries re-converge
-  // onto the base checkpoints once quasisort has normalized the order
-  // (and a delta that preserves a level's half-splits never dirties it
-  // at all) — so the budget counts *actual* dirty levels as the walk
+  // A delta mostly dirties the deep levels (see planner::patch_route),
+  // and one that preserves a level's half-splits never dirties it at
+  // all, so the budget counts *actual* dirty levels as the walk
   // discovers them. A walk that exhausts the budget has spent at most
   // max_dirty_fraction of a cold compile before handing over.
   const double budget =
@@ -1799,12 +1884,14 @@ planner::PatchOutcome patch_route_core(
   // datapath, so only recompiled levels (and the always-fresh final
   // level) accumulate heatmap activity on the patch path.
   kx.heat = heatmap;
+  std::uint64_t next_copy_id = 1;
+  begin_lines(ws, assignment, next_copy_id);
 
   for (int k = 1; k <= m - 1; ++k) {
     const int stages = m - k + 1;  // both impls: level-k BSN size 2^(m-k+1)
     kx.begin_level(stages);
     kx.heat_level = k;
-    load_lines(kx, lines);
+    load_lines(kx, ws.lines, ws.dests.data(), stages - 1);
     const PlanLevel& old = base.levels[static_cast<std::size_t>(k - 1)];
     const bool clean = old.stages == stages && entry_planes_match(kx, old);
     if (!clean) {
@@ -1816,21 +1903,22 @@ planner::PatchOutcome patch_route_core(
     PlanLevel* pl = &out.levels.emplace_back();
     if (clean) {
       *pl = old;
-      reuse(k, old, ws, lines, next_copy_id, result, probe, checking);
+      reuse(k, old, ws, next_copy_id, result, probe, checking);
       ++outcome.levels_reused;
     } else {
       pl->stages = stages;
       pl->entry_t0.assign(kx.tag_plane(0).begin(), kx.tag_plane(0).end());
       pl->entry_t1.assign(kx.tag_plane(1).begin(), kx.tag_plane(1).end());
       pl->entry_t2.assign(kx.tag_plane(2).begin(), kx.tag_plane(2).end());
-      compile(k, ws, lines, next_copy_id, pl, result, probe, checking);
+      compile(k, ws, next_copy_id, pl, result, probe, checking);
       ++outcome.levels_recompiled;
     }
   }
 
   // The final 2x2 delivery level is always computed fresh — it is cheap,
   // and rebuilding it revalidates the patched route's delivery end to end.
-  capture_final_planes(lines, out);
+  load_final_level(ws);
+  capture_final_planes(kx, out);
   const std::size_t splits_before_final = result.stats.broadcast_ops;
   {
     obs::PhaseTimer final_timer(probe.datapath);
@@ -1842,7 +1930,7 @@ planner::PatchOutcome patch_route_core(
       final_sink.pass = &result.explanation->passes.back();
     }
     fault::guard(checking, n, 0, m, PassKind::Final, true, [&] {
-      deliver_final_level(lines, result.delivered, &result.stats,
+      deliver_final_lines(ws, result.delivered, &result.stats,
                           options.explain ? &final_sink : nullptr, heatmap);
     });
   }
@@ -1883,17 +1971,17 @@ PatchOutcome patch_route(Brsmn& net, const MulticastAssignment& assignment,
       net.n_, net.m_, fault::ImplKind::Unrolled, *net.compile_ws_,
       assignment, base, options, out, config,
       [&](int k, const PlanLevel& old, pkern::CompileWorkspace& ws,
-          std::vector<LineValue>& lines, std::uint64_t& next_copy_id,
-          RouteResult& result, obs::RouteProbe& probe, bool checking) {
-        reuse_level_unrolled(net.levels_[static_cast<std::size_t>(k - 1)],
-                             old, base_expl, net.n_, k, ws, lines,
-                             next_copy_id, result, options, probe, checking);
-      },
-      [&](int k, pkern::CompileWorkspace& ws, std::vector<LineValue>& lines,
-          std::uint64_t& next_copy_id, PlanLevel* pl, RouteResult& result,
+          std::uint64_t& next_copy_id, RouteResult& result,
           obs::RouteProbe& probe, bool checking) {
+        reuse_level_unrolled(net.levels_[static_cast<std::size_t>(k - 1)],
+                             old, base_expl, net.n_, k, ws, next_copy_id,
+                             result, options, probe, checking);
+      },
+      [&](int k, pkern::CompileWorkspace& ws, std::uint64_t& next_copy_id,
+          PlanLevel* pl, RouteResult& result, obs::RouteProbe& probe,
+          bool checking) {
         compile_level_unrolled(net.levels_[static_cast<std::size_t>(k - 1)],
-                               net.n_, k, ws, lines, next_copy_id, pl, result,
+                               net.n_, k, ws, next_copy_id, pl, result,
                                options, probe, checking, /*route_ord=*/0);
       });
 }
@@ -1912,18 +2000,17 @@ PatchOutcome patch_route(FeedbackBrsmn& net,
       net.size(), net.levels(), fault::ImplKind::Feedback, *net.compile_ws_,
       assignment, base, options, out, config,
       [&](int k, const PlanLevel& old, pkern::CompileWorkspace& ws,
-          std::vector<LineValue>& lines, std::uint64_t& next_copy_id,
-          RouteResult& result, obs::RouteProbe& probe, bool checking) {
-        reuse_level_feedback(net.fabric_, old, base_expl, net.size(), k, ws,
-                             lines, next_copy_id, result, options, probe,
-                             checking);
-      },
-      [&](int k, pkern::CompileWorkspace& ws, std::vector<LineValue>& lines,
-          std::uint64_t& next_copy_id, PlanLevel* pl, RouteResult& result,
+          std::uint64_t& next_copy_id, RouteResult& result,
           obs::RouteProbe& probe, bool checking) {
+        reuse_level_feedback(net.fabric_, old, base_expl, net.size(), k, ws,
+                             next_copy_id, result, options, probe, checking);
+      },
+      [&](int k, pkern::CompileWorkspace& ws, std::uint64_t& next_copy_id,
+          PlanLevel* pl, RouteResult& result, obs::RouteProbe& probe,
+          bool checking) {
         compile_level_feedback(net.fabric_, net.size(), net.levels(), k, ws,
-                               lines, next_copy_id, pl, result, options,
-                               probe, checking, /*route_ord=*/0);
+                               next_copy_id, pl, result, options, probe,
+                               checking, /*route_ord=*/0);
       });
 }
 

@@ -130,15 +130,20 @@ RouteResult compile_route(FeedbackBrsmn& net,
 /// plan is bit-identical to a cold compile of `assignment` (verified
 /// exhaustively by tests/test_group_manager.cpp).
 ///
-/// Dirtiness is not monotone in depth: a delta typically perturbs the
-/// first ~log2(fanout) levels' planes, then quasisort has normalized
-/// the order and the deep entries re-converge onto the base checkpoints
-/// (a delta that preserves a level's half-splits never dirties it at
-/// all). The walk therefore budgets *actual* dirty levels: when
-/// recompiling one more would exceed `max_dirty_fraction` of the switch
-/// levels, the patch is abandoned (`patched == false`, `out`
-/// unspecified) and the caller should cold-compile instead — having
-/// spent at most that fraction of a cold compile finding out.
+/// A join or leave changes one source's tag tree (Figs. 9/11), and only
+/// along the path to the changed output: a node's tag flips only where
+/// the change empties or populates one of its halves. Near the root a
+/// high-fanout source's nodes read α either way, so a delta dirties the
+/// *deep* levels and leaves the shallow ones clean (on the
+/// group_churn_n256 shape — 8 sources sharing 3/4 of 256 outputs — the
+/// share of patches adopting level k verbatim is 1.00, 1.00, 0.95, 0.77,
+/// 0.51, 0.28, 0.10 for k = 1..7). A delta that preserves a level's
+/// half-splits never dirties it at all. The walk budgets *actual* dirty
+/// levels as it discovers them: when recompiling one more would exceed
+/// `max_dirty_fraction` of the switch levels, the patch is abandoned
+/// (`patched == false`, `out` unspecified) and the caller should
+/// cold-compile instead — having spent at most that fraction of a cold
+/// compile finding out.
 struct PatchConfig {
   /// Abandon the patch when more than this fraction of switch levels
   /// must recompile. 1.0 never abandons (a full recompile through the

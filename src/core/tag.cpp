@@ -37,10 +37,6 @@ Tag collapse_eps(Tag t) {
   return (t == Tag::Eps0 || t == Tag::Eps1) ? Tag::Eps : t;
 }
 
-bool is_empty(Tag t) {
-  return t == Tag::Eps || t == Tag::Eps0 || t == Tag::Eps1;
-}
-
 bool is_chi(Tag t) { return t == Tag::Zero || t == Tag::One; }
 
 bool counts_as_alpha(std::uint8_t bits) {

@@ -37,7 +37,9 @@ Tag decode(std::uint8_t bits);
 Tag collapse_eps(Tag t);
 
 /// True for Eps, Eps0 and Eps1 — the line carries no message.
-bool is_empty(Tag t);
+constexpr bool is_empty(Tag t) {
+  return t == Tag::Eps || t == Tag::Eps0 || t == Tag::Eps1;
+}
 
 /// True for Zero and One: a single-destination-half ("χ") value. Used by
 /// the scatter network, which treats 0 and 1 uniformly (Section 5.1).

@@ -108,13 +108,16 @@ SwitchSetting faulted_setting(SwitchSetting configured, FaultKind kind,
   return configured;
 }
 
-void apply_dead_lines(const FaultInjector* injector, std::uint64_t route,
-                      int level, ImplKind impl, RouteEngine engine,
-                      std::vector<LineValue>& lines, FaultActivity* activity) {
+namespace {
+
+template <typename Line>
+void kill_dead_lines(const FaultInjector* injector, std::uint64_t route,
+                     int level, ImplKind impl, RouteEngine engine,
+                     std::vector<Line>& lines, FaultActivity* activity) {
   if (injector == nullptr) return;
   for (const auto& dead : injector->dead_lines(route, level, impl, engine)) {
     const bool was_occupied = !lines[dead.line].empty();
-    lines[dead.line] = LineValue{};
+    lines[dead.line] = Line{};
     if (activity != nullptr) {
       AppliedFault a;
       a.spec_index = dead.spec_index;
@@ -125,6 +128,20 @@ void apply_dead_lines(const FaultInjector* injector, std::uint64_t route,
       activity->applied.push_back(a);
     }
   }
+}
+
+}  // namespace
+
+void apply_dead_lines(const FaultInjector* injector, std::uint64_t route,
+                      int level, ImplKind impl, RouteEngine engine,
+                      std::vector<LineValue>& lines, FaultActivity* activity) {
+  kill_dead_lines(injector, route, level, impl, engine, lines, activity);
+}
+
+void apply_dead_lines(const FaultInjector* injector, std::uint64_t route,
+                      int level, ImplKind impl, RouteEngine engine,
+                      std::vector<LineRecord>& lines, FaultActivity* activity) {
+  kill_dead_lines(injector, route, level, impl, engine, lines, activity);
 }
 
 void PassSeam::apply_local(Rbn& fabric, PassKind pass) const {

@@ -126,10 +126,13 @@ SwitchSetting faulted_setting(SwitchSetting configured, FaultKind kind,
 /// Kill the scheduled dead lines at entry of `level`: each becomes an
 /// empty ε. Shared verbatim by all four drivers (before the level's
 /// packed load / scalar slicing), which keeps dead links trivially
-/// engine-identical.
+/// engine-identical; the packed drivers pass their line records.
 void apply_dead_lines(const FaultInjector* injector, std::uint64_t route,
                       int level, ImplKind impl, RouteEngine engine,
                       std::vector<LineValue>& lines, FaultActivity* activity);
+void apply_dead_lines(const FaultInjector* injector, std::uint64_t route,
+                      int level, ImplKind impl, RouteEngine engine,
+                      std::vector<LineRecord>& lines, FaultActivity* activity);
 
 /// The per-(level, pass) seam handed into the engines. A null injector
 /// makes every apply a no-op, so the seam doubles as plumbing for

@@ -23,7 +23,7 @@
 namespace brsmn::fault {
 
 /// Where in a route a check failed. `pass` is nullopt for checks that run
-/// between passes (inter-level stream advance / line-state self-check),
+/// between passes (inter-level line-state advance and self-check),
 /// in which case both passes of `level` are settled iff fabric_settled.
 struct DetectPoint {
   int level = 0;

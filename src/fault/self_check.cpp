@@ -58,6 +58,70 @@ void self_check_level(const std::vector<LineValue>& lines, int level,
   }
 }
 
+void self_check_level(std::span<const LineRecord> lines, int level,
+                      std::uint64_t route) {
+  const std::size_t n = lines.size();
+  thread_local std::vector<std::uint64_t> ids;
+  ids.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    const LineRecord& r = lines[i];
+    if (is_empty(r.exit)) {
+      if (!r.empty()) {
+        std::ostringstream os;
+        os << "self-check: empty line " << i << " carries a packet";
+        fail(n, route, level, std::nullopt, os.str());
+      }
+      continue;
+    }
+    if (r.empty()) {
+      std::ostringstream os;
+      os << "self-check: occupied line " << i << " lost its packet";
+      fail(n, route, level, std::nullopt, os.str());
+    }
+    if (r.exit != Tag::Zero && r.exit != Tag::One) {
+      std::ostringstream os;
+      os << "self-check: line " << i << " left its BSN tagged "
+         << tag_char(r.exit) << ", not 0 or 1";
+      fail(n, route, level, std::nullopt, os.str());
+    }
+    if (r.lo >= r.hi) {
+      std::ostringstream os;
+      os << "self-check: line " << i
+         << " was sent into a half holding none of its destinations";
+      fail(n, route, level, std::nullopt, os.str());
+    }
+    ids.push_back(r.copy_id);
+  }
+  // A route hands out copy ids densely from 1 (at most n initial copies
+  // plus two per split, and a route splits fewer than n times), so a
+  // bitmap over the id range finds a duplicate in one pass. Ids beyond
+  // that range only come from a corrupted state: fall back to sorting.
+  const std::uint64_t max_id =
+      ids.empty() ? 0 : *std::max_element(ids.begin(), ids.end());
+  std::optional<std::uint64_t> dup;
+  if (max_id <= 4 * static_cast<std::uint64_t>(n) + 64) {
+    thread_local std::vector<std::uint64_t> seen;
+    seen.assign(max_id / 64 + 1, 0);
+    for (const std::uint64_t id : ids) {
+      const std::uint64_t bit = std::uint64_t{1} << (id % 64);
+      if (seen[id / 64] & bit) {
+        dup = id;
+        break;
+      }
+      seen[id / 64] |= bit;
+    }
+  } else {
+    std::sort(ids.begin(), ids.end());
+    const auto it = std::adjacent_find(ids.begin(), ids.end());
+    if (it != ids.end()) dup = *it;
+  }
+  if (dup.has_value()) {
+    std::ostringstream os;
+    os << "self-check: duplicate live copy id " << *dup;
+    fail(n, route, level, std::nullopt, os.str());
+  }
+}
+
 void self_check_delivery(
     const std::vector<std::optional<std::size_t>>& delivered,
     const std::vector<std::optional<std::size_t>>& expected, int level,

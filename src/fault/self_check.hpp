@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -30,6 +31,15 @@ namespace brsmn::fault {
 /// line tag, empty lines carry none, and no two live copies share a copy
 /// id. Throws FaultDetected naming the level.
 void self_check_level(const std::vector<LineValue>& lines, int level,
+                      std::uint64_t route);
+
+/// The packed drivers' form of self_check_level, over the line records
+/// a level's gather produced (exit tags set, ranges already narrowed to
+/// the branch taken): an ε line carries no source, every occupied line
+/// carries one, leaves its BSN tagged 0 or 1, and still has destinations
+/// in the half it was sent to, and no two live copies share a copy id.
+/// Throws FaultDetected naming the level.
+void self_check_level(std::span<const LineRecord> lines, int level,
                       std::uint64_t route);
 
 /// Typed delivery oracle: `delivered` must equal `expected`. Throws

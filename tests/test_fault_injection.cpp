@@ -7,8 +7,12 @@
 // on every outcome.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <optional>
+#include <span>
 
+#include "common/bits.hpp"
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
 #include "core/bit_sorter.hpp"
@@ -16,9 +20,11 @@
 #include "core/compact_sequence.hpp"
 #include "core/feedback.hpp"
 #include "core/scatter.hpp"
+#include "core/tag_sequence.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/fault_report.hpp"
+#include "fault/self_check.hpp"
 #include "helpers.hpp"
 
 namespace brsmn {
@@ -523,6 +529,156 @@ TEST(FaultInjectionFullRoute, SelfCheckOffRaisesBareContractViolation) {
   options.self_check = false;
   const RouteResult result = net.route(assignment, options);
   EXPECT_EQ(result.delivered, expected_delivery(assignment));
+}
+
+/// The packed drivers' line records equivalent to `lines`, the state
+/// leaving level k (= entering level k+1) of a route of `assignment`:
+/// each copy keeps the range of its source's destinations inside the
+/// address block its line serves at level k+1 (n >> k outputs), and the
+/// exit tag of level k is the block's side of that level's midpoint.
+/// `dests` receives the flat destination array the ranges index.
+std::vector<LineRecord> records_leaving_level(
+    const MulticastAssignment& assignment, const std::vector<LineValue>& lines,
+    int k, std::vector<std::uint32_t>& dests) {
+  const std::size_t n = assignment.size();
+  const int m = log2_exact(n);
+  const std::size_t block = n >> k;
+  std::vector<std::uint32_t> offset(n);
+  dests.clear();
+  for (std::size_t s = 0; s < n; ++s) {
+    offset[s] = static_cast<std::uint32_t>(dests.size());
+    for (const std::size_t d : assignment.destinations(s)) {
+      dests.push_back(static_cast<std::uint32_t>(d));
+    }
+  }
+  std::vector<LineRecord> recs(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!lines[i].packet.has_value()) continue;
+    const Packet& p = *lines[i].packet;
+    const auto& own = assignment.destinations(p.source);
+    const std::size_t base = i / block * block;
+    const auto lo = std::lower_bound(own.begin(), own.end(), base);
+    const auto hi = std::lower_bound(own.begin(), own.end(), base + block);
+    // The stream the scalar view carries is exactly that range, rebased.
+    std::vector<std::size_t> rebased;
+    for (auto it = lo; it != hi; ++it) rebased.push_back(*it - base);
+    EXPECT_EQ(decode_sequence(p.stream), rebased) << "line " << i;
+    LineRecord& r = recs[i];
+    r.source = static_cast<std::uint32_t>(p.source);
+    r.lo = offset[p.source] + static_cast<std::uint32_t>(lo - own.begin());
+    r.hi = offset[p.source] + static_cast<std::uint32_t>(hi - own.begin());
+    r.exit = ((base >> (m - k)) & 1u) ? Tag::One : Tag::Zero;
+    r.copy_id = p.copy_id;
+    r.parent_id = p.parent_id;
+  }
+  return recs;
+}
+
+/// The detection point `check` raises, or nullopt when it passes.
+std::optional<fault::DetectPoint> detection(
+    const std::function<void()>& check) {
+  try {
+    check();
+  } catch (const fault::FaultDetected& e) {
+    return e.report().at;
+  }
+  return std::nullopt;
+}
+
+TEST(SelfCheckMutation, RecordCheckNamesTheSameLevelAsTheScalarCheck) {
+  // Corrupt the line state leaving each level in the four ways the
+  // per-level self-check exists to catch — on the packed drivers' line
+  // records and, equivalently, on the scalar engine's LineValues — and
+  // require both checks to fire at that level.
+  Rng rng(test_seed(4242));
+  for (const std::size_t n : {16u, 64u}) {
+    const int m = log2_exact(n);
+    const MulticastAssignment assignment =
+        n == 16 ? sweep_assignment(n) : random_multicast(n, 0.9, rng);
+    Brsmn net(n);
+    RouteOptions options;
+    options.engine = RouteEngine::Packed;
+    options.capture_levels = true;
+    const RouteResult cold = net.route(assignment, options);
+    ASSERT_EQ(cold.level_inputs.size(), static_cast<std::size_t>(m));
+    for (int k = 1; k <= m - 1; ++k) {
+      SCOPED_TRACE("n " + std::to_string(n) + " level " + std::to_string(k));
+      const std::vector<LineValue>& lines =
+          cold.level_inputs[static_cast<std::size_t>(k)];
+      std::vector<std::uint32_t> dests;
+      const std::vector<LineRecord> recs =
+          records_leaving_level(assignment, lines, k, dests);
+      auto record_check = [&](const std::vector<LineRecord>& r) {
+        return detection([&] {
+          fault::self_check_level(std::span<const LineRecord>(r), k, 0);
+        });
+      };
+      auto scalar_check = [&](const std::vector<LineValue>& l) {
+        return detection([&] { fault::self_check_level(l, k, 0); });
+      };
+      ASSERT_FALSE(record_check(recs).has_value());
+      ASSERT_FALSE(scalar_check(lines).has_value());
+
+      std::vector<std::size_t> occupied;
+      std::vector<std::size_t> idle;
+      for (std::size_t i = 0; i < n; ++i) {
+        (recs[i].empty() ? idle : occupied).push_back(i);
+      }
+      ASSERT_GE(occupied.size(), 2u);
+      ASSERT_FALSE(idle.empty());
+      const std::size_t a = occupied.front();
+      const std::size_t b = occupied.back();
+      const std::size_t e = idle.front();
+
+      auto expect_same_level = [&](const char* what,
+                                   const std::vector<LineRecord>& r,
+                                   const std::vector<LineValue>& l) {
+        SCOPED_TRACE(what);
+        const auto packed = record_check(r);
+        const auto scalar = scalar_check(l);
+        ASSERT_TRUE(packed.has_value());
+        ASSERT_TRUE(scalar.has_value());
+        EXPECT_EQ(packed->level, k);
+        EXPECT_EQ(packed->level, scalar->level);
+        EXPECT_EQ(packed->pass, scalar->pass);
+        EXPECT_EQ(packed->fabric_settled, scalar->fabric_settled);
+      };
+
+      {  // An occupied line with no source / packet.
+        auto r = recs;
+        auto l = lines;
+        r[a].source = LineRecord::kNoSource;
+        l[a].packet.reset();
+        expect_same_level("occupied line without a source", r, l);
+      }
+      {  // Two live copies with one copy id.
+        auto r = recs;
+        auto l = lines;
+        r[b].copy_id = r[a].copy_id;
+        l[b].packet->copy_id = l[a].packet->copy_id;
+        expect_same_level("duplicated copy id", r, l);
+      }
+      {  // A copy sent into the half holding none of its destinations:
+         // its range narrows to nothing, its stream to all-ε.
+        auto r = recs;
+        auto l = lines;
+        r[a].lo = r[a].hi;
+        std::fill(l[a].packet->stream.begin(), l[a].packet->stream.end(),
+                  Tag::Eps);
+        l[a].tag = Tag::Eps;
+        expect_same_level("copy sent into an empty half", r, l);
+      }
+      {  // An ε line that keeps a source.
+        auto r = recs;
+        auto l = lines;
+        r[e].source = r[a].source;
+        r[e].copy_id = 1000000;
+        l[e].packet = *l[a].packet;
+        l[e].packet->copy_id = 1000000;
+        expect_same_level("eps line keeping a source", r, l);
+      }
+    }
+  }
 }
 
 TEST(FaultInjection, OracleRejectsMisalignedBroadcastPlans) {

@@ -11,7 +11,8 @@
 // Also here: the zero-allocation contract of route_replay_into — after
 // two warmup replays, a steady-state replay performs no heap
 // allocations (counted by overriding global operator new in this test
-// binary).
+// binary) — and the heap-footprint guard of a warm compile_route, whose
+// bytes must grow like the O(n log^2 n) plan, not O(n^2).
 #include "core/route_plan.hpp"
 
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/contracts.hpp"
@@ -39,9 +41,11 @@
 
 namespace {
 std::atomic<std::uint64_t> g_heap_allocs{0};
+std::atomic<std::uint64_t> g_heap_bytes{0};
 
 void* counted_alloc(std::size_t size) {
   g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_heap_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
@@ -51,6 +55,7 @@ void* operator new(std::size_t size) { return counted_alloc(size); }
 void* operator new[](std::size_t size) { return counted_alloc(size); }
 void* operator new(std::size_t size, std::align_val_t al) {
   g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_heap_bytes.fetch_add(size, std::memory_order_relaxed);
   const std::size_t a = static_cast<std::size_t>(al);
   const std::size_t rounded = (size + a - 1) / a * a;  // aligned_alloc demands it
   if (void* p = std::aligned_alloc(a, rounded == 0 ? a : rounded)) return p;
@@ -348,6 +353,51 @@ TEST(RoutePlanZeroAlloc, SteadyStateFeedbackReplayDoesNotAllocate) {
   net.route_replay_into(plan, ropts, out);
   EXPECT_EQ(g_heap_allocs.load(std::memory_order_relaxed) - before, 0u);
   EXPECT_EQ(out.delivered, plan.delivered);
+}
+
+// --- heap footprint of a warm compile --------------------------------------
+
+/// Heap bytes requested by one warm planner::compile_route of `a` (the
+/// network's compile workspace already sized by an earlier compile),
+/// plan storage included.
+std::uint64_t warm_compile_bytes(const MulticastAssignment& a) {
+  Brsmn net(a.size());
+  {
+    RoutePlan warmup;
+    planner::compile_route(net, a, {}, warmup);
+  }
+  const std::uint64_t before = g_heap_bytes.load(std::memory_order_relaxed);
+  RoutePlan plan;
+  planner::compile_route(net, a, {}, plan);
+  return g_heap_bytes.load(std::memory_order_relaxed) - before;
+}
+
+TEST(RoutePlanFootprint, WarmCompileBytesGrowLikeThePlan) {
+  // A compiled plan holds O(log n) levels of O(n log n) switch state, so
+  // from n = 1024 to n = 4096 its bytes grow about 5.4x. Carrying each
+  // line's O(n) header stream through every level makes a compile
+  // allocate O(n^2) instead (12-14x over the same step); 8x separates
+  // the two without timing anything.
+  Rng rng(test_seed(8700));
+  const MulticastAssignment perm_small = random_permutation(1024, 1.0, rng);
+  const MulticastAssignment perm_large = random_permutation(4096, 1.0, rng);
+  const MulticastAssignment dense_small = random_multicast(1024, 0.6, rng);
+  const MulticastAssignment dense_large = random_multicast(4096, 0.6, rng);
+  for (const auto& [name, small, large] :
+       {std::tuple{"permutation", &perm_small, &perm_large},
+        std::tuple{"density 0.6", &dense_small, &dense_large}}) {
+    SCOPED_TRACE(name);
+    const std::uint64_t bytes_small = warm_compile_bytes(*small);
+    const std::uint64_t bytes_large = warm_compile_bytes(*large);
+    const double growth =
+        static_cast<double>(bytes_large) / static_cast<double>(bytes_small);
+    RecordProperty(std::string(name) + " bytes n=1024",
+                   std::to_string(bytes_small));
+    RecordProperty(std::string(name) + " bytes n=4096",
+                   std::to_string(bytes_large));
+    EXPECT_LE(growth, 8.0) << bytes_small << " -> " << bytes_large
+                           << " bytes";
+  }
 }
 
 }  // namespace

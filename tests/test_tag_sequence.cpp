@@ -9,8 +9,10 @@
 #include <algorithm>
 #include <set>
 
+#include "common/bits.hpp"
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
+#include "core/level_kernel.hpp"
 
 namespace brsmn {
 namespace {
@@ -80,6 +82,106 @@ TEST(TagSequence, Fig11StreamingSplitMatchesSubtreeSequences) {
       EXPECT_EQ(split_stream(rest, Tag::One),
                 encode_sequence(right, n / 2));
     }
+  }
+}
+
+/// Walks every node of a destination set's tag tree, advancing a header
+/// stream by the odd/even split (as the scalar engine does between
+/// levels) beside a packed-driver line record whose range is narrowed by
+/// pkern::split_point, and checks at each node that
+///   - the remaining stream equals encode_sequence_into of the
+///     destinations inside the node's address block, rebased to the block;
+///   - the record's range holds exactly those destinations;
+///   - the stream's head equals pkern::head_tag of the record.
+class SubtreeWalk {
+ public:
+  SubtreeWalk(const std::vector<std::size_t>& dests, std::size_t n)
+      : dests_(dests), n_(n), m_(log2_exact(n)) {
+    for (const std::size_t d : dests) {
+      flat_.push_back(static_cast<std::uint32_t>(d));
+    }
+  }
+
+  /// Walks the whole tree; returns the number of nodes visited.
+  std::size_t run() {
+    std::vector<Tag> stream;
+    encode_sequence_into(dests_, n_, stream);
+    LineRecord rec;
+    rec.source = 0;
+    rec.lo = 0;
+    rec.hi = static_cast<std::uint32_t>(flat_.size());
+    visit(1, 0, stream, rec);
+    return visited_;
+  }
+
+ private:
+  void visit(int level, std::size_t block_base, const std::vector<Tag>& stream,
+             const LineRecord& rec) {
+    ++visited_;
+    const std::size_t block = n_ >> (level - 1);
+    std::vector<std::size_t> inside;
+    for (const std::size_t d : dests_) {
+      if (d >= block_base && d < block_base + block) {
+        inside.push_back(d - block_base);
+      }
+    }
+    std::vector<Tag> expected;
+    encode_sequence_into(inside, block, expected);
+    ASSERT_EQ(stream, expected)
+        << "level " << level << " block base " << block_base;
+    ASSERT_EQ(rec.hi - rec.lo, inside.size());
+    for (std::size_t i = 0; i < inside.size(); ++i) {
+      ASSERT_EQ(flat_[rec.lo + i], block_base + inside[i]);
+    }
+    const int bit = m_ - level;
+    ASSERT_EQ(pkern::head_tag(rec, flat_.data(), bit), stream.front())
+        << "level " << level << " block base " << block_base;
+    if (level == m_) return;
+    const std::uint32_t split =
+        pkern::split_point(flat_.data(), rec.lo, rec.hi, bit);
+    const std::span<const Tag> rest(stream.data() + 1, stream.size() - 1);
+    LineRecord lower = rec;
+    lower.hi = split;
+    LineRecord upper = rec;
+    upper.lo = split;
+    visit(level + 1, block_base, split_stream(rest, Tag::Zero), lower);
+    visit(level + 1, block_base + block / 2, split_stream(rest, Tag::One),
+          upper);
+  }
+
+  const std::vector<std::size_t>& dests_;
+  std::vector<std::uint32_t> flat_;
+  std::size_t n_;
+  int m_;
+  std::size_t visited_ = 0;
+};
+
+TEST(TagSequence, StreamAlongAnyPathMatchesRangeRecordExhaustive) {
+  // Every destination set of every n <= 16, every node of its tag tree:
+  // the packed drivers' (source, destination range) record derives the
+  // same head tag the scalar engine's split header stream carries.
+  for (std::size_t n : {2u, 4u, 8u, 16u}) {
+    for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
+      std::vector<std::size_t> dests;
+      for (std::size_t d = 0; d < n; ++d) {
+        if ((mask >> d) & 1u) dests.push_back(d);
+      }
+      SubtreeWalk walk(dests, n);
+      ASSERT_EQ(walk.run(), n - 1) << "n " << n << " mask " << mask;
+    }
+  }
+}
+
+TEST(TagSequence, StreamAlongAnyPathMatchesRangeRecordSampledN1024) {
+  const std::size_t n = 1024;
+  Rng rng(test_seed(34));
+  for (int trial = 0; trial < 24; ++trial) {
+    // Four fixed sizes from unicast up, then uniformly drawn sizes.
+    const std::size_t size =
+        trial < 4 ? std::size_t{1} << (trial * 3) : rng.uniform(0, n);
+    const auto dests = rng.subset(n, size);
+    SubtreeWalk walk(dests, n);
+    ASSERT_EQ(walk.run(), n - 1) << "trial " << trial;
   }
 }
 

@@ -17,6 +17,7 @@
 
 #include "core/line_value.hpp"
 #include "core/packed_kernel.hpp"
+#include "core/switch_setting.hpp"
 
 namespace brsmn::obs {
 class FabricHeatmap;
@@ -98,6 +99,46 @@ struct LevelKernel {
   }
 };
 
+/// Set switches [first, first+count) of global block `gblock` at `stage`
+/// in the datapath masks: su at each pair's upper line, sl at its lower
+/// line (see packed::StageMasks). This is the configuration sweeps' only
+/// writer; the fabric grids and plan rows are decoded from the masks
+/// afterwards (decode_stage_settings). Parallel runs need no bits, so the
+/// masks must start the pass cleared.
+inline void fill_masks(packed::StageMasks& mk, int stage, std::size_t gblock,
+                       std::size_t first, std::size_t count,
+                       SwitchSetting s) {
+  if (count == 0 || s == SwitchSetting::Parallel) return;
+  const std::size_t d = std::size_t{1} << (stage - 1);
+  const std::size_t up = gblock * 2 * d + first;
+  const std::size_t low = up + d;
+  if (s != SwitchSetting::UpperBcast) {
+    packed::plane_fill(mk.su, up, up + count);
+  }
+  if (s != SwitchSetting::LowerBcast) {
+    packed::plane_fill(mk.sl, low, low + count);
+  }
+}
+
+/// Write the two mask bits of the one switch whose upper line is `up` at
+/// pair distance `d`, clearing whatever the configuration had set there
+/// (the fault seam's writer).
+inline void set_mask_switch(packed::StageMasks& mk, std::size_t up,
+                            std::size_t d, SwitchSetting s) {
+  const bool cross = s == SwitchSetting::Cross;
+  packed::plane_set(mk.su, up, cross || s == SwitchSetting::LowerBcast);
+  packed::plane_set(mk.sl, up + d, cross || s == SwitchSetting::UpperBcast);
+}
+
+/// Decode stage `stage`'s masks over n lines into the stage's n/2 switch
+/// settings, in the block-major logical order Rbn::install_stage takes
+/// (switch g * 2^(stage-1) + t joins lines g * 2^stage + t and
+/// g * 2^stage + t + 2^(stage-1)). The inverse of fill_masks and
+/// set_mask_switch: (su, sl) = (0,0) Parallel, (1,1) Cross, (0,1)
+/// UpperBcast, (1,0) LowerBcast. `row` must hold exactly n/2 settings.
+void decode_stage_settings(const packed::StageMasks& mk, int stage,
+                           std::size_t n, std::span<SwitchSetting> row);
+
 /// Clear every plane and write the identity code planes (plane p of line
 /// i holds bit p of i); the three tag planes stay zero.
 void load_identity_codes(LevelKernel& kx);
@@ -175,8 +216,9 @@ struct ReplayWorkspace {
 /// per level) plus every per-level buffer the configuration sweeps need —
 /// the SoA tag censuses, the ε0 selection plane, the scatter type tree
 /// (flat, level j at offset 2n - n/2^(j-1)), the backward-sweep run
-/// starts, the per-block entry tallies, and the line records with their
-/// gather double buffer and destination array.
+/// starts, the per-block entry tallies, the decoded settings row, the
+/// line records with their gather double buffer and destination array,
+/// and the final level's heads and sources.
 /// First route allocates once; warm compiles reuse everything.
 struct CompileWorkspace {
   LevelKernel kx;
@@ -199,9 +241,18 @@ struct CompileWorkspace {
   /// the array LineRecord ranges index.
   std::vector<std::uint32_t> dests;
   std::vector<std::uint8_t> side_done;    ///< per-event first-copy latch
+  /// One stage's decoded settings row (n/2) when no plan row takes it.
+  std::vector<SwitchSetting> row;
+  /// The final level's head tags and sources.
+  std::vector<Tag> heads;
+  std::vector<std::size_t> sources;
 
   CompileWorkspace(std::size_t n, int m)
-      : kx(n, m, m), eps0_sel(packed::words_for(n), 0) {
+      : kx(n, m, m),
+        eps0_sel(packed::words_for(n), 0),
+        row(n / 2),
+        heads(n),
+        sources(n) {
     lines.reserve(n);
     line_buf.reserve(n);
     dests.reserve(n);

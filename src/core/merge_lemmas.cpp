@@ -40,30 +40,6 @@ std::vector<SwitchSetting> elimination_settings(
                                  ucast_bar);
 }
 
-Lemma1Geometry lemma1_geometry(std::size_t n, std::size_t s, std::size_t l0,
-                               std::size_t l1) {
-  check_common(n, s, l0, l1);
-  BRSMN_EXPECTS(l0 + l1 <= n);
-  const std::size_t half = n / 2;
-  Lemma1Geometry g;
-  g.s0 = s % half;
-  g.s1 = (s + l0) % half;
-  // b = ((s + l0) div (n/2)) mod 2; the first s1 switches get b, the rest
-  // b-bar (i.e. W^{n/2}_{0,s1; b-bar, b}).
-  const int b = static_cast<int>(((s + l0) / half) % 2);
-  g.run = b == 0 ? kPar : kCross;
-  return g;
-}
-
-EliminationLayout elimination_layout(std::size_t n, std::size_t s,
-                                     std::size_t l, SwitchSetting ucast) {
-  const SwitchSetting ucast_bar = opposite_unicast(ucast);
-  if (s + l < n / 2) return {ucast, ucast};
-  if (s < n / 2) return {ucast_bar, ucast};  // s < n/2 <= s + l
-  if (s + l < n) return {ucast_bar, ucast_bar};
-  return {ucast, ucast_bar};  // n/2 <= s, n <= s + l
-}
-
 MergePlan lemma1(std::size_t n, std::size_t s, std::size_t l0,
                  std::size_t l1) {
   const Lemma1Geometry g = lemma1_geometry(n, s, l0, l1);

@@ -24,6 +24,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/bits.hpp"
+#include "common/contracts.hpp"
 #include "core/switch_setting.hpp"
 
 namespace brsmn::lemmas {
@@ -47,8 +49,21 @@ struct Lemma1Geometry {
   SwitchSetting run = SwitchSetting::Parallel;
 };
 
-Lemma1Geometry lemma1_geometry(std::size_t n, std::size_t s, std::size_t l0,
-                               std::size_t l1);
+/// Preconditions as lemma1(). n is a power of two, so Lemma 1's
+/// s mod n/2 is s & (n/2 - 1) and b = floor((s + l0) / (n/2)) mod 2 is
+/// the n/2 bit of s + l0.
+inline Lemma1Geometry lemma1_geometry(std::size_t n, std::size_t s,
+                                      std::size_t l0, std::size_t l1) {
+  BRSMN_EXPECTS(is_pow2(n) && n >= 2);
+  BRSMN_EXPECTS(s < n);
+  BRSMN_EXPECTS(l0 <= n / 2 && l1 <= n / 2);
+  BRSMN_EXPECTS(l0 + l1 <= n);
+  const std::size_t half = n / 2;
+  // The first s1 switches get b, the rest b-bar (W^{n/2}_{0,s1; b-bar, b}).
+  return {s & (half - 1), (s + l0) & (half - 1),
+          ((s + l0) & half) != 0 ? SwitchSetting::Cross
+                                 : SwitchSetting::Parallel};
+}
 
 /// The unicast fill around the broadcast run of elimination_settings():
 /// switch positions before `run_start` get `before`, positions at or past
@@ -61,8 +76,16 @@ struct EliminationLayout {
   SwitchSetting after = SwitchSetting::Parallel;
 };
 
-EliminationLayout elimination_layout(std::size_t n, std::size_t s,
-                                     std::size_t l, SwitchSetting ucast);
+inline EliminationLayout elimination_layout(std::size_t n, std::size_t s,
+                                            std::size_t l,
+                                            SwitchSetting ucast) {
+  const SwitchSetting ucast_bar = opposite_unicast(ucast);
+  const std::size_t half = n / 2;
+  if (s + l < half) return {ucast, ucast};
+  if (s < half) return {ucast_bar, ucast};  // s < n/2 <= s + l
+  if (s + l < n) return {ucast_bar, ucast_bar};
+  return {ucast, ucast_bar};  // n/2 <= s, n <= s + l
+}
 
 /// Lemma 1. Preconditions: n even power of two, s < n, l0,l1 <= n/2,
 /// l0 + l1 <= n.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <numeric>
 
@@ -38,31 +39,6 @@ void plane_set(std::span<std::uint64_t> plane, std::size_t i, bool v) {
   } else {
     plane[i / kWordBits] &= ~bit;
   }
-}
-
-namespace {
-
-/// Mask of bits [lo, hi) within one word, hi <= 64.
-constexpr std::uint64_t word_range_mask(std::size_t lo, std::size_t hi) {
-  const std::uint64_t upto =
-      hi >= kWordBits ? ~std::uint64_t{0} : (std::uint64_t{1} << hi) - 1;
-  return upto & ~((std::uint64_t{1} << lo) - 1);
-}
-
-}  // namespace
-
-void plane_fill(std::span<std::uint64_t> plane, std::size_t first,
-                std::size_t last) {
-  if (first >= last) return;
-  const std::size_t fw = first / kWordBits;
-  const std::size_t lw = (last - 1) / kWordBits;
-  if (fw == lw) {
-    plane[fw] |= word_range_mask(first % kWordBits, last - fw * kWordBits);
-    return;
-  }
-  plane[fw] |= word_range_mask(first % kWordBits, kWordBits);
-  for (std::size_t w = fw + 1; w < lw; ++w) plane[w] = ~std::uint64_t{0};
-  plane[lw] |= word_range_mask(0, last - lw * kWordBits);
 }
 
 std::size_t plane_popcount(std::span<const std::uint64_t> plane,
@@ -514,12 +490,88 @@ void run_unicast_datapath(LevelKernel& kx) {
   }
 }
 
+namespace {
+
+/// Gather the bits of x at the positions whose bit q is clear into the
+/// low 32 bits, in order: within a word, the upper lines of the pairs at
+/// distance 2^q. morton_compress is the q = 0 case.
+constexpr std::uint64_t unzip_upper(std::uint64_t x, unsigned q) {
+  constexpr std::uint64_t kKeep[6] = {
+      0x5555555555555555ull, 0x3333333333333333ull, 0x0f0f0f0f0f0f0f0full,
+      0x00ff00ff00ff00ffull, 0x0000ffff0000ffffull, 0x00000000ffffffffull,
+  };
+  x &= kKeep[q];
+  for (unsigned k = q; k < 5; ++k) x = (x | (x >> (1u << k))) & kKeep[k + 1];
+  return x;
+}
+
+/// Spread the 8 bits of b (< 256) to the low bits of 8 bytes, bit i to
+/// byte i: replicate b into every byte, keep bit i in byte i, then turn
+/// each nonzero byte into 1.
+constexpr std::uint64_t spread_byte_bits(std::uint64_t b) {
+  const std::uint64_t picked =
+      (b * 0x0101010101010101ull) & 0x8040201008040201ull;
+  return ((picked + 0x7f7f7f7f7f7f7f7full) >> 7) & 0x0101010101010101ull;
+}
+
+/// Write the settings of `count` consecutive switches whose su and sl
+/// bits are the low bits of `su` and `sl`. With the pair (su, sl), the
+/// SwitchSetting value is su | (su ^ sl) << 1: (0,0) Parallel = 0,
+/// (1,1) Cross = 1, (0,1) UpperBcast = 2, (1,0) LowerBcast = 3.
+void store_settings(std::uint64_t su, std::uint64_t sl, std::size_t count,
+                    SwitchSetting* out) {
+  const std::uint64_t flip = su ^ sl;
+  for (std::size_t i = 0; i < count; i += 8) {
+    const std::uint64_t bytes =
+        spread_byte_bits((su >> i) & 0xffu) |
+        (spread_byte_bits((flip >> i) & 0xffu) << 1);
+    const std::size_t lim = std::min<std::size_t>(8, count - i);
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(out + i, &bytes, lim);
+    } else {
+      for (std::size_t k = 0; k < lim; ++k) {
+        out[i + k] = static_cast<SwitchSetting>((bytes >> (8 * k)) & 0xffu);
+      }
+    }
+  }
+}
+
+}  // namespace
+
+void decode_stage_settings(const packed::StageMasks& mk, int stage,
+                           std::size_t n, std::span<SwitchSetting> row) {
+  BRSMN_EXPECTS(row.size() == n / 2);
+  const std::size_t d = std::size_t{1} << (stage - 1);
+  SwitchSetting* out = row.data();
+  if (d < packed::kWordBits) {
+    // 2d-line blocks tile each word, so word w holds switches
+    // [32w, 32w + 32): su at the upper positions, sl at the lower ones
+    // (brought up to the upper positions by a shift of d).
+    const auto q = static_cast<unsigned>(stage - 1);
+    for (std::size_t w = 0; w < packed::words_for(n); ++w) {
+      store_settings(unzip_upper(mk.su[w], q), unzip_upper(mk.sl[w] >> d, q),
+                     std::min<std::size_t>(32, n / 2 - 32 * w), out + 32 * w);
+    }
+    return;
+  }
+  // Whole-word halves: block b's upper lines are words [2bD, 2bD + D) of
+  // su, its lower lines words [2bD + D, 2bD + 2D) of sl, D = d/64.
+  const std::size_t dw = d / packed::kWordBits;
+  for (std::size_t b = 0; b < n / (2 * d); ++b) {
+    for (std::size_t u = 0; u < dw; ++u) {
+      store_settings(mk.su[2 * b * dw + u], mk.sl[2 * b * dw + dw + u],
+                     packed::kWordBits, out + b * d + u * packed::kWordBits);
+    }
+  }
+}
+
 }  // namespace pkern
 
 namespace {
 
 namespace pk = packed;
 using pkern::BcastEvent;
+using pkern::fill_masks;
 using pkern::LevelKernel;
 using pkern::load_lines;
 using pkern::run_scatter_datapath;
@@ -541,30 +593,6 @@ std::vector<Tag> materialize_tags(LevelKernel& kx, bool collapse) {
     tags[i] = collapse ? collapse_eps(t) : t;
   }
   return tags;
-}
-
-/// Set switches [first, first+count) of global block `gblock` at `stage`
-/// in the datapath masks. Parallel runs need no bits.
-void fill_masks(pk::StageMasks& mk, int stage, std::size_t gblock,
-                std::size_t first, std::size_t count, SwitchSetting s) {
-  if (count == 0 || s == SwitchSetting::Parallel) return;
-  const std::size_t d = std::size_t{1} << (stage - 1);
-  const std::size_t up = gblock * 2 * d + first;
-  const std::size_t low = up + d;
-  switch (s) {
-    case SwitchSetting::Cross:
-      pk::plane_fill(mk.su, up, up + count);
-      pk::plane_fill(mk.sl, low, low + count);
-      break;
-    case SwitchSetting::UpperBcast:
-      pk::plane_fill(mk.sl, low, low + count);
-      break;
-    case SwitchSetting::LowerBcast:
-      pk::plane_fill(mk.su, up, up + count);
-      break;
-    case SwitchSetting::Parallel:
-      break;
-  }
 }
 
 /// Rebuild a workspace census from the kernel's current tag planes.
@@ -589,39 +617,57 @@ void capture_stage_events(const LevelKernel& kx,
   dst.assign(kx.events.begin(), kx.events.begin() + kx.stages);
 }
 
+/// Start of level j's node types in the workspace's flat scatter type
+/// tree: level j's n/2^j types start at 2n - n/2^(j-1) (level 0 at 0).
+constexpr std::size_t type_offset(std::size_t n, int j) {
+  return j == 0 ? std::size_t{0} : 2 * n - (n >> (j - 1));
+}
+
+/// The forward-phase value of scatter tree node (j, b): its type from the
+/// workspace type tree, its surplus from the census counts.
+ScatterNodeValue scatter_node(const pkern::CompileWorkspace& ws,
+                              const pk::TagCensus& census, int j,
+                              std::size_t b) {
+  if (j == 0) {
+    const bool a = pk::plane_get(census.alpha(), b);
+    const bool e = pk::plane_get(census.eps(), b);
+    return {a ? Tag::Alpha : Tag::Eps, (a || e) ? std::size_t{1} : 0};
+  }
+  const std::size_t na = census.count_alpha(j, b);
+  const std::size_t ne = census.count_eps(j, b);
+  return {ws.type[type_offset(ws.kx.n, j) + b] ? Tag::Alpha : Tag::Eps,
+          na >= ne ? na - ne : ne - na};
+}
+
 /// Word-parallel scatter configuration over the full width: the forward
 /// phase reads per-node alpha/eps counts from the pyramids (with the
 /// scalar combine()'s tie-type propagation: a zero-surplus node inherits
 /// its upper child's type), the backward phase runs the shared
 /// scatter_block_plan per node and emits contiguous setting runs into the
-/// stage masks, the physical fabric (via `install`), the explain sink, and
-/// the broadcast-event lists. All BSN roots start their runs at 0, exactly
-/// as both scalar engines do. Root node values are returned for the
-/// unrolled engine's Eq. (3) check.
-template <typename InstallFn>
-std::vector<ScatterNodeValue> configure_scatter_packed(
-    pkern::CompileWorkspace& ws, const pk::TagCensus& census,
-    RoutingStats* stats, const ExplainSink* explain, InstallFn&& install) {
+/// stage masks, the explain sink, and the broadcast-event lists. All BSN
+/// roots start their runs at 0, exactly as both scalar engines do. The
+/// type tree stays in the workspace, so scatter_node reads the root
+/// values for the unrolled engine's Eq. (3) check.
+void configure_scatter_packed(pkern::CompileWorkspace& ws,
+                              const pk::TagCensus& census,
+                              RoutingStats* stats,
+                              const ExplainSink* explain) {
   LevelKernel& kx = ws.kx;
   const std::size_t n = kx.n;
   const int S = kx.stages;
 
-  // Flat type tree in the workspace: level j's n/2^j node types start at
-  // 2n - n/2^(j-1) (level 0 at 0), so the forward sweep is two array
+  // Flat type tree (see type_offset), so the forward sweep is two array
   // loads and a branchless select per node.
   ws.type.resize(2 * n - (n >> S));
   std::uint8_t* type = ws.type.data();
-  const auto toff = [n](int j) {
-    return j == 0 ? std::size_t{0} : 2 * n - (n >> (j - 1));
-  };
   const auto alpha = census.alpha();
   for (std::size_t i = 0; i < n; ++i) {
     type[i] =
         static_cast<std::uint8_t>((alpha[i / 64] >> (i % 64)) & 1u);
   }
   for (int j = 1; j <= S; ++j) {
-    const std::uint8_t* child = type + toff(j - 1);
-    std::uint8_t* cur = type + toff(j);
+    const std::uint8_t* child = type + type_offset(n, j - 1);
+    std::uint8_t* cur = type + type_offset(n, j);
     for (std::size_t b = 0; b < (n >> j); ++b) {
       const std::size_t na = census.count_alpha(j, b);
       const std::size_t ne = census.count_eps(j, b);
@@ -635,18 +681,6 @@ std::vector<ScatterNodeValue> configure_scatter_packed(
     stats->tree_bwd_ops += n - (n >> S);
   }
 
-  auto node_value = [&](int j, std::size_t b) -> ScatterNodeValue {
-    if (j == 0) {
-      const bool a = pk::plane_get(census.alpha(), b);
-      const bool e = pk::plane_get(census.eps(), b);
-      return {a ? Tag::Alpha : Tag::Eps, (a || e) ? std::size_t{1} : 0};
-    }
-    const std::size_t na = census.count_alpha(j, b);
-    const std::size_t ne = census.count_eps(j, b);
-    return {type[toff(j) + b] ? Tag::Alpha : Tag::Eps,
-            na >= ne ? na - ne : ne - na};
-  };
-
   std::vector<std::size_t>& start = ws.start;
   std::vector<std::size_t>& next = ws.next;
   start.assign(n >> S, 0);
@@ -658,15 +692,13 @@ std::vector<ScatterNodeValue> configure_scatter_packed(
     auto& evs = kx.events[static_cast<std::size_t>(j - 1)];
     for (std::size_t b = 0; b < (n >> j); ++b) {
       const std::size_t s = start[b];
-      const ScatterNodeValue c0 = node_value(j - 1, 2 * b);
-      const ScatterNodeValue c1 = node_value(j - 1, 2 * b + 1);
+      const ScatterNodeValue c0 = scatter_node(ws, census, j - 1, 2 * b);
+      const ScatterNodeValue c1 = scatter_node(ws, census, j - 1, 2 * b + 1);
       const ScatterBlockPlan plan = scatter_block_plan(c0, c1, np, s);
       next[2 * b] = plan.s0;
       next[2 * b + 1] = plan.s1;
       const std::size_t base_line = b << j;
       auto seg = [&](std::size_t first, std::size_t count, SwitchSetting w) {
-        if (count == 0) return;
-        install(j, b, first, count, w);
         fill_masks(mk, j, b, first, count, w);
       };
       if (plan.rule == RouteRule::ScatterAddition) {
@@ -709,12 +741,6 @@ std::vector<ScatterNodeValue> configure_scatter_packed(
     }
     start.swap(next);
   }
-
-  std::vector<ScatterNodeValue> roots(n >> S);
-  for (std::size_t bb = 0; bb < roots.size(); ++bb) {
-    roots[bb] = node_value(S, bb);
-  }
-  return roots;
 }
 
 /// Fix the copy-id allocation order of the collected broadcast events and
@@ -783,13 +809,12 @@ void divide_eps_packed(pkern::CompileWorkspace& ws,
 
 /// Word-parallel quasisort configuration: per BSN block a Theorem-1 bit
 /// sort of the b2 keys with the 1-run starting at the midpoint, each merge
-/// node solved by the shared lemma1_geometry.
-template <typename InstallFn>
+/// node solved by the shared lemma1_geometry and emitted into the stage
+/// masks.
 void configure_quasisort_packed(pkern::CompileWorkspace& ws,
                                 const pk::TagCensus& census,
                                 RoutingStats* stats,
-                                const ExplainSink* explain,
-                                InstallFn&& install) {
+                                const ExplainSink* explain) {
   LevelKernel& kx = ws.kx;
   const std::size_t n = kx.n;
   const int S = kx.stages;
@@ -817,8 +842,6 @@ void configure_quasisort_packed(pkern::CompileWorkspace& ws,
       const lemmas::Lemma1Geometry g = lemmas::lemma1_geometry(nprime, s, l0, l1);
       next[2 * b] = g.s0;
       next[2 * b + 1] = g.s1;
-      install(j, b, std::size_t{0}, g.s1, g.run);
-      install(j, b, g.s1, half - g.s1, opposite_unicast(g.run));
       fill_masks(mk, j, b, 0, g.s1, g.run);
       fill_masks(mk, j, b, g.s1, half - g.s1, opposite_unicast(g.run));
       if (explain != nullptr) {
@@ -1002,8 +1025,10 @@ void deliver_final_lines(pkern::CompileWorkspace& ws,
     heatmap->record_final_tags(kx.tag_plane(0), kx.tag_plane(1));
   }
   const std::size_t n = kx.n;
-  std::vector<Tag> heads(n);
-  std::vector<std::size_t> sources(n, 0);
+  std::vector<Tag>& heads = ws.heads;
+  std::vector<std::size_t>& sources = ws.sources;
+  heads.resize(n);
+  sources.assign(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
     const LineRecord& r = ws.lines[i];
     heads[i] = pkern::head_tag(r, ws.dests.data(), 0);
@@ -1066,6 +1091,66 @@ bool entry_planes_match(LevelKernel& kx, const PlanLevel& old) {
                     old.entry_t2.end());
 }
 
+/// The "level.<k>" span of a level, its label formatted only when a
+/// tracer is attached.
+obs::TraceSpan level_span(obs::Tracer* tracer, int k) {
+  char label[24] = "";
+  if (tracer != nullptr) std::snprintf(label, sizeof label, "level.%d", k);
+  return obs::TraceSpan(tracer, label);
+}
+
+/// Stage j's level-wide settings row, decoded from the pass's configured
+/// masks: into the plan's row when a plan is being compiled (`plan_rows`
+/// sized to the level's stage count), else into the workspace row.
+std::span<const SwitchSetting> decode_row(
+    pkern::CompileWorkspace& ws, int j,
+    std::vector<std::vector<SwitchSetting>>* plan_rows) {
+  std::vector<SwitchSetting>& row =
+      plan_rows != nullptr ? (*plan_rows)[static_cast<std::size_t>(j - 1)]
+                           : ws.row;
+  row.resize(ws.kx.n / 2);
+  pkern::decode_stage_settings(ws.kx.masks[static_cast<std::size_t>(j - 1)],
+                               j, ws.kx.n, row);
+  return row;
+}
+
+/// Install a level-wide stage-j row into one pass's BSN fabrics: each BSN
+/// owns the row's contiguous 2^(S-1)-wide slice, so this is one copy per
+/// BSN.
+void install_bsn_stage(std::vector<Bsn>& level, PassKind pass, int j,
+                       std::span<const SwitchSetting> row) {
+  const std::size_t bsn_row = row.size() / level.size();
+  for (std::size_t bb = 0; bb < level.size(); ++bb) {
+    Rbn& fabric = pass == PassKind::Scatter
+                      ? level[bb].mutable_scatter_fabric()
+                      : level[bb].mutable_quasisort_fabric();
+    fabric.install_stage(j, row.subspan(bb * bsn_row, bsn_row));
+  }
+}
+
+/// Decode one configured pass into the level's BSN fabrics (and the
+/// plan's rows, when compiling one).
+void install_pass_unrolled(std::vector<Bsn>& level, PassKind pass,
+                           pkern::CompileWorkspace& ws,
+                           std::vector<std::vector<SwitchSetting>>* plan_rows) {
+  const int S = ws.kx.stages;
+  if (plan_rows != nullptr) plan_rows->resize(static_cast<std::size_t>(S));
+  for (int j = 1; j <= S; ++j) {
+    install_bsn_stage(level, pass, j, decode_row(ws, j, plan_rows));
+  }
+}
+
+/// Decode one configured pass into the (freshly reset) feedback fabric
+/// (and the plan's rows, when compiling one).
+void install_pass_feedback(Rbn& fabric, pkern::CompileWorkspace& ws,
+                           std::vector<std::vector<SwitchSetting>>* plan_rows) {
+  const int S = ws.kx.stages;
+  if (plan_rows != nullptr) plan_rows->resize(static_cast<std::size_t>(S));
+  for (int j = 1; j <= S; ++j) {
+    fabric.install_stage(j, decode_row(ws, j, plan_rows));
+  }
+}
+
 /// The body of one unrolled switch level — scatter pass, quasisort pass,
 /// gather — exactly as packed_route's level loop runs it. Shared with
 /// planner::patch_route so a recompiled level of a patched plan goes
@@ -1083,20 +1168,7 @@ void compile_level_unrolled(std::vector<Bsn>& level, std::size_t n, int k,
   const std::size_t splits_before = result.stats.broadcast_ops;
   const int S = kx.stages;
   const std::size_t bsn_size = std::size_t{1} << S;
-  if (pl != nullptr) {
-    // The configure callbacks partition every stage's n/2 switches, so
-    // these defaults never survive — the rows exist so each callback run
-    // is one fill into a pre-sized stage row.
-    pl->scatter_settings.assign(
-        static_cast<std::size_t>(S),
-        std::vector<SwitchSetting>(n / 2, SwitchSetting::Parallel));
-    pl->quasisort_settings.assign(
-        static_cast<std::size_t>(S),
-        std::vector<SwitchSetting>(n / 2, SwitchSetting::Parallel));
-  }
-  char level_label[24];
-  std::snprintf(level_label, sizeof level_label, "level.%d", k);
-  obs::TraceSpan level_span(probe.tracer, level_label);
+  obs::TraceSpan span = level_span(probe.tracer, k);
   PassExplanation* scatter_pass = nullptr;
   PassExplanation* quasi_pass = nullptr;
   if (options.explain) {
@@ -1150,26 +1222,16 @@ void compile_level_unrolled(std::vector<Bsn>& level, std::size_t n, int k,
     obs::PhaseTimer scatter_timer(probe.scatter);
     obs::PerfScope scatter_perf(probe.profiler, probe.perf_scatter);
     obs::TraceSpan scatter_span(probe.tracer, "bsn.scatter.config");
-    const std::vector<ScatterNodeValue> roots = configure_scatter_packed(
+    configure_scatter_packed(
         ws, census, &result.stats,
-        scatter_pass != nullptr ? &scatter_sink : nullptr,
-        [&](int j, std::size_t g, std::size_t first, std::size_t count,
-            SwitchSetting s) {
-          const std::size_t bb = g >> (S - j);
-          const std::size_t lb = g & ((std::size_t{1} << (S - j)) - 1);
-          level[bb].mutable_scatter_fabric().fill_block_run(j, lb, first,
-                                                            count, s);
-          if (pl != nullptr && count != 0) {
-            auto& row = pl->scatter_settings[static_cast<std::size_t>(j - 1)];
-            std::fill_n(row.begin() +
-                            static_cast<std::ptrdiff_t>((g << (j - 1)) + first),
-                        static_cast<std::ptrdiff_t>(count), s);
-          }
-        });
+        scatter_pass != nullptr ? &scatter_sink : nullptr);
+    install_pass_unrolled(level, PassKind::Scatter, ws,
+                          pl != nullptr ? &pl->scatter_settings : nullptr);
     scatter_span.end();
     scatter_perf.stop();
     scatter_timer.stop();
-    for (const ScatterNodeValue& root : roots) {
+    for (std::size_t bb = 0; bb < (n >> S); ++bb) {
+      const ScatterNodeValue root = scatter_node(ws, census, S, bb);
       BRSMN_ENSURES_MSG(root.type == Tag::Eps || root.surplus == 0,
                         "Eq. (3) guarantees eps dominates at the BSN root");
     }
@@ -1234,21 +1296,9 @@ void compile_level_unrolled(std::vector<Bsn>& level, std::size_t n, int k,
     obs::TraceSpan quasisort_span(probe.tracer, "bsn.quasisort.config");
     configure_quasisort_packed(
         ws, divided, &result.stats,
-        quasi_pass != nullptr ? &quasi_sink : nullptr,
-        [&](int j, std::size_t g, std::size_t first, std::size_t count,
-            SwitchSetting s) {
-          const std::size_t bb = g >> (S - j);
-          const std::size_t lb = g & ((std::size_t{1} << (S - j)) - 1);
-          level[bb].mutable_quasisort_fabric().fill_block_run(j, lb, first,
-                                                              count, s);
-          if (pl != nullptr && count != 0) {
-            auto& row =
-                pl->quasisort_settings[static_cast<std::size_t>(j - 1)];
-            std::fill_n(row.begin() +
-                            static_cast<std::ptrdiff_t>((g << (j - 1)) + first),
-                        static_cast<std::ptrdiff_t>(count), s);
-          }
-        });
+        quasi_pass != nullptr ? &quasi_sink : nullptr);
+    install_pass_unrolled(level, PassKind::Quasisort, ws,
+                          pl != nullptr ? &pl->quasisort_settings : nullptr);
     quasisort_span.end();
     quasisort_perf.stop();
     quasisort_timer.stop();
@@ -1306,19 +1356,7 @@ void compile_level_feedback(Rbn& fabric, std::size_t n, int m, int k,
   const RoutingStats entry_stats = result.stats;
   const std::size_t splits_before = result.stats.broadcast_ops;
   const int top_stage = kx.stages;  // level-k BSN size is 2^top_stage
-  if (pl != nullptr) {
-    // As in compile_level_unrolled: pre-sized stage rows, fully
-    // overwritten by the configure callbacks' runs.
-    pl->scatter_settings.assign(
-        static_cast<std::size_t>(top_stage),
-        std::vector<SwitchSetting>(n / 2, SwitchSetting::Parallel));
-    pl->quasisort_settings.assign(
-        static_cast<std::size_t>(top_stage),
-        std::vector<SwitchSetting>(n / 2, SwitchSetting::Parallel));
-  }
-  char level_label[24];
-  std::snprintf(level_label, sizeof level_label, "level.%d", k);
-  obs::TraceSpan level_span(probe.tracer, level_label);
+  obs::TraceSpan span = level_span(probe.tracer, k);
   ExplainSink scatter_sink;
   ExplainSink quasi_sink;
   if (options.explain) {
@@ -1349,17 +1387,9 @@ void compile_level_feedback(Rbn& fabric, std::size_t n, int m, int k,
     obs::TraceSpan scatter_span(probe.tracer, "fb.scatter.config");
     configure_scatter_packed(
         ws, ws.census, &result.stats,
-        scatter_sink.pass != nullptr ? &scatter_sink : nullptr,
-        [&](int j, std::size_t g, std::size_t first, std::size_t count,
-            SwitchSetting s) {
-          fabric.fill_block_run(j, g, first, count, s);
-          if (pl != nullptr && count != 0) {
-            auto& row = pl->scatter_settings[static_cast<std::size_t>(j - 1)];
-            std::fill_n(row.begin() +
-                            static_cast<std::ptrdiff_t>((g << (j - 1)) + first),
-                        static_cast<std::ptrdiff_t>(count), s);
-          }
-        });
+        scatter_sink.pass != nullptr ? &scatter_sink : nullptr);
+    install_pass_feedback(fabric, ws,
+                          pl != nullptr ? &pl->scatter_settings : nullptr);
   });
   if (pl != nullptr) capture_stage_masks(kx, pl->scatter_masks);
   seam.apply_full_packed(fabric, PassKind::Scatter, kx.masks);
@@ -1413,18 +1443,9 @@ void compile_level_feedback(Rbn& fabric, std::size_t n, int m, int k,
     obs::PerfScope quasisort_perf(probe.profiler, probe.perf_quasisort);
     configure_quasisort_packed(
         ws, ws.divided, &result.stats,
-        quasi_sink.pass != nullptr ? &quasi_sink : nullptr,
-        [&](int j, std::size_t g, std::size_t first, std::size_t count,
-            SwitchSetting s) {
-          fabric.fill_block_run(j, g, first, count, s);
-          if (pl != nullptr && count != 0) {
-            auto& row =
-                pl->quasisort_settings[static_cast<std::size_t>(j - 1)];
-            std::fill_n(row.begin() +
-                            static_cast<std::ptrdiff_t>((g << (j - 1)) + first),
-                        static_cast<std::ptrdiff_t>(count), s);
-          }
-        });
+        quasi_sink.pass != nullptr ? &quasi_sink : nullptr);
+    install_pass_feedback(fabric, ws,
+                          pl != nullptr ? &pl->quasisort_settings : nullptr);
   });
   if (pl != nullptr) {
     pl->divided_t2.assign(kx.tag_plane(2).begin(), kx.tag_plane(2).end());
@@ -1487,8 +1508,8 @@ void reuse_level_state(const PlanLevel& old,
 }
 
 /// Adopt one stored level verbatim on the unrolled network: install its
-/// setting runs into the level's persistent grids (the runs partition
-/// every stage's half-width, so this fully overwrites stale state and
+/// stored stage rows into the level's persistent grids (each row covers
+/// its stage's whole half-width, so this fully overwrites stale state and
 /// matches a cold compile's grids), then restore the line state.
 void reuse_level_unrolled(std::vector<Bsn>& level, const PlanLevel& old,
                           const RouteExplanation* base_explanation,
@@ -1496,24 +1517,12 @@ void reuse_level_unrolled(std::vector<Bsn>& level, const PlanLevel& old,
                           std::uint64_t& next_copy_id, RouteResult& result,
                           const RouteOptions& options, obs::RouteProbe& probe,
                           bool checking) {
-  const int S = ws.kx.stages;
-  char level_label[24];
-  std::snprintf(level_label, sizeof level_label, "level.%d", k);
-  obs::TraceSpan level_span(probe.tracer, level_label);
-  // Each BSN owns the contiguous 2^(S-1)-wide slice of every level-wide
-  // stage row, so installing a stored level is one copy per (BSN, stage).
-  const std::size_t bsn_row = std::size_t{1} << (S - 1);
-  for (int j = 1; j <= S; ++j) {
-    const std::span<const SwitchSetting> srow(
-        old.scatter_settings[static_cast<std::size_t>(j - 1)]);
-    const std::span<const SwitchSetting> qrow(
-        old.quasisort_settings[static_cast<std::size_t>(j - 1)]);
-    for (std::size_t bb = 0; bb < level.size(); ++bb) {
-      level[bb].mutable_scatter_fabric().install_stage(
-          j, srow.subspan(bb * bsn_row, bsn_row));
-      level[bb].mutable_quasisort_fabric().install_stage(
-          j, qrow.subspan(bb * bsn_row, bsn_row));
-    }
+  obs::TraceSpan span = level_span(probe.tracer, k);
+  for (int j = 1; j <= ws.kx.stages; ++j) {
+    install_bsn_stage(level, PassKind::Scatter, j,
+                      old.scatter_settings[static_cast<std::size_t>(j - 1)]);
+    install_bsn_stage(level, PassKind::Quasisort, j,
+                      old.quasisort_settings[static_cast<std::size_t>(j - 1)]);
   }
   reuse_level_state(old, base_explanation, n, k, ws, next_copy_id, result,
                     options, checking);
@@ -1528,9 +1537,7 @@ void reuse_level_feedback(Rbn& fabric, const PlanLevel& old,
                           std::uint64_t& next_copy_id, RouteResult& result,
                           const RouteOptions& options, obs::RouteProbe& probe,
                           bool checking) {
-  char level_label[24];
-  std::snprintf(level_label, sizeof level_label, "level.%d", k);
-  obs::TraceSpan level_span(probe.tracer, level_label);
+  obs::TraceSpan span = level_span(probe.tracer, k);
   fabric.reset();
   for (std::size_t j = 0; j < old.scatter_settings.size(); ++j) {
     fabric.install_stage(static_cast<int>(j + 1), old.scatter_settings[j]);
@@ -1565,6 +1572,7 @@ RouteResult packed_route(Brsmn& net, const MulticastAssignment& assignment,
 
   RouteResult result;
   result.delivered.assign(n, std::nullopt);
+  result.broadcasts_per_level.reserve(static_cast<std::size_t>(m));
   if (options.explain) {
     result.explanation.emplace();
     result.explanation->n = n;
@@ -1697,6 +1705,7 @@ RouteResult packed_route(FeedbackBrsmn& net,
 
   RouteResult result;
   result.delivered.assign(n, std::nullopt);
+  result.broadcasts_per_level.reserve(static_cast<std::size_t>(m));
   if (options.explain) {
     result.explanation.emplace();
     result.explanation->n = n;
@@ -1855,6 +1864,7 @@ planner::PatchOutcome patch_route_core(
 
   RouteResult& result = outcome.result;
   result.delivered.assign(n, std::nullopt);
+  result.broadcasts_per_level.reserve(static_cast<std::size_t>(m));
   if (options.explain) {
     result.explanation.emplace();
     result.explanation->n = n;

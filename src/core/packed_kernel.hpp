@@ -61,9 +61,28 @@ using Words = std::vector<std::uint64_t>;
 bool plane_get(std::span<const std::uint64_t> plane, std::size_t i);
 void plane_set(std::span<std::uint64_t> plane, std::size_t i, bool v);
 
-/// Set every bit in [first, last).
-void plane_fill(std::span<std::uint64_t> plane, std::size_t first,
-                std::size_t last);
+/// Mask of bits [lo, hi) within one word, lo < 64, hi <= 64.
+constexpr std::uint64_t word_range_mask(std::size_t lo, std::size_t hi) {
+  const std::uint64_t upto =
+      hi >= kWordBits ? ~std::uint64_t{0} : (std::uint64_t{1} << hi) - 1;
+  return upto & ~((std::uint64_t{1} << lo) - 1);
+}
+
+/// Set every bit in [first, last): one OR when the range lies inside one
+/// word (inline, since the configuration sweeps call it once per run).
+inline void plane_fill(std::span<std::uint64_t> plane, std::size_t first,
+                       std::size_t last) {
+  if (first >= last) return;
+  const std::size_t fw = first / kWordBits;
+  const std::size_t lw = (last - 1) / kWordBits;
+  if (fw == lw) {
+    plane[fw] |= word_range_mask(first % kWordBits, last - fw * kWordBits);
+    return;
+  }
+  plane[fw] |= word_range_mask(first % kWordBits, kWordBits);
+  for (std::size_t w = fw + 1; w < lw; ++w) plane[w] = ~std::uint64_t{0};
+  plane[lw] |= word_range_mask(0, last - lw * kWordBits);
+}
 
 /// Population count of bits [first, last).
 std::size_t plane_popcount(std::span<const std::uint64_t> plane,

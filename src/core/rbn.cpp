@@ -37,18 +37,6 @@ void Rbn::set_block(int stage, std::size_t block,
   }
 }
 
-void Rbn::fill_block_run(int stage, std::size_t block, std::size_t first,
-                         std::size_t count, SwitchSetting s) {
-  BRSMN_EXPECTS(stage >= 1 && stage <= stages());
-  const std::size_t half = topo_.block_size(stage) / 2;
-  BRSMN_EXPECTS(first + count <= half);
-  const std::size_t base = block * half + first;
-  BRSMN_EXPECTS(base + count <= topo_.switches_per_stage());
-  auto& row = settings_[static_cast<std::size_t>(stage - 1)];
-  std::fill(row.begin() + static_cast<std::ptrdiff_t>(base),
-            row.begin() + static_cast<std::ptrdiff_t>(base + count), s);
-}
-
 void Rbn::install_stage(int stage, std::span<const SwitchSetting> row) {
   BRSMN_EXPECTS(stage >= 1 && stage <= stages());
   auto& dst = settings_[static_cast<std::size_t>(stage - 1)];

@@ -53,19 +53,12 @@ class Rbn {
   std::vector<SwitchSetting> block_settings(int stage,
                                             std::size_t block) const;
 
-  /// Install `s` on logical switches [first, first + count) of block
-  /// `block` at `stage`. Logical switch t of a block is stage switch
-  /// block * block_size(stage)/2 + t, so the run is one contiguous
-  /// std::fill over the stage's settings row — the bulk form the packed
-  /// kernel uses to install whole decision runs at once.
-  void fill_block_run(int stage, std::size_t block, std::size_t first,
-                      std::size_t count, SwitchSetting s);
-
-  /// Overwrite a whole stage's settings row in one copy. `row` is in the
-  /// same block-major logical order fill_block_run addresses (stage
-  /// switch block * block_size(stage)/2 + t) and must cover the stage
-  /// exactly — the bulk form plan replay and patching use to install a
-  /// stored stage without walking its decision runs.
+  /// Overwrite a whole stage's settings row in one copy. `row` is in
+  /// block-major logical order (logical switch t of block `block` is
+  /// stage switch block * block_size(stage)/2 + t) and must cover the
+  /// stage exactly — the bulk form the packed compile, plan replay and
+  /// patching use to install a stage decoded from, or stored beside, its
+  /// datapath masks.
   void install_stage(int stage, std::span<const SwitchSetting> row);
 
   /// Propagate `lines` (size n) through stages [from_stage, to_stage]

@@ -46,13 +46,15 @@ struct PlanLevel {
   packed::Words entry_t2;
 
   /// Per-stage datapath masks and full fabric settings rows, per pass.
-  /// Settings row [j-1] holds stage j's n/2 switches level-wide, in the
-  /// block-major logical order Rbn::fill_block_run addresses (global
-  /// switch g * block_size(j)/2 + t); replay and patching install a row
-  /// with one Rbn::install_stage copy per stage instead of walking the
-  /// compile's decision runs. For the unrolled implementation the row
-  /// concatenates the level's BSNs, so each BSN installs its contiguous
-  /// 2^(stages-1)-wide slice.
+  /// The masks are what the compile's configuration sweeps write; each
+  /// settings row is decoded from them once per stage
+  /// (pkern::decode_stage_settings), so the two always agree. Settings
+  /// row [j-1] holds stage j's n/2 switches level-wide, in the
+  /// block-major logical order Rbn::install_stage takes (global switch
+  /// g * block_size(j)/2 + t); compile, replay and patching install a row
+  /// with one Rbn::install_stage copy per stage. For the unrolled
+  /// implementation the row concatenates the level's BSNs, so each BSN
+  /// installs its contiguous 2^(stages-1)-wide slice.
   std::vector<packed::StageMasks> scatter_masks;
   std::vector<std::vector<SwitchSetting>> scatter_settings;
   std::vector<packed::StageMasks> quasisort_masks;

@@ -36,42 +36,6 @@ ScatterNodeValue leaf_value(Tag t) {
 
 }  // namespace
 
-ScatterBlockPlan scatter_block_plan(const ScatterNodeValue& c0,
-                                    const ScatterNodeValue& c1,
-                                    std::size_t n_prime, std::size_t s) {
-  const std::size_t half = n_prime / 2;
-  ScatterBlockPlan plan;
-  if (c0.type == c1.type) {
-    // ε/α-addition: exactly Lemma 1 over the shared dominant symbol.
-    plan.rule = RouteRule::ScatterAddition;
-    const auto g = lemmas::lemma1_geometry(n_prime, s, c0.surplus, c1.surplus);
-    plan.s0 = g.s0;
-    plan.s1 = g.s1;
-    plan.run = g.run;
-    return plan;
-  }
-  // ε/α-elimination: Lemmas 2-5 via the unified Table 4 case split.
-  plan.rule = RouteRule::ScatterElimination;
-  plan.l = c0.surplus >= c1.surplus ? c0.surplus - c1.surplus
-                                    : c1.surplus - c0.surplus;
-  plan.bcast = (c0.type == Tag::Alpha) ? SwitchSetting::UpperBcast
-                                       : SwitchSetting::LowerBcast;
-  if (c0.surplus >= c1.surplus) {
-    plan.s0 = s % half;
-    plan.s1 = (s + plan.l) % half;
-    plan.run_start = plan.s1;
-    plan.run_len = c1.surplus;
-    plan.ucast = SwitchSetting::Parallel;
-  } else {
-    plan.s0 = (s + plan.l) % half;
-    plan.s1 = s % half;
-    plan.run_start = plan.s0;
-    plan.run_len = c0.surplus;
-    plan.ucast = SwitchSetting::Cross;
-  }
-  return plan;
-}
-
 std::vector<SwitchSetting> scatter_block_settings(const ScatterBlockPlan& plan,
                                                   std::size_t n_prime,
                                                   std::size_t s) {

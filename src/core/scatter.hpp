@@ -16,6 +16,7 @@
 
 #include "core/explain.hpp"
 #include "core/line_value.hpp"
+#include "core/merge_lemmas.hpp"
 #include "core/rbn.hpp"
 #include "core/stats.hpp"
 #include "core/tag.hpp"
@@ -52,11 +53,47 @@ struct ScatterBlockPlan {
 };
 
 /// Compute the Table 4 backward-phase plan for a block of size `n_prime`
-/// whose children carry `c0` (upper) and `c1` (lower) and whose output run
-/// must start at `s`.
-ScatterBlockPlan scatter_block_plan(const ScatterNodeValue& c0,
-                                    const ScatterNodeValue& c1,
-                                    std::size_t n_prime, std::size_t s);
+/// (a power of two) whose children carry `c0` (upper) and `c1` (lower)
+/// and whose output run must start at `s` < n_prime. Inline: both
+/// engines run it once per merging-network block, so the Lemma 2-5
+/// starts are masks, not divisions (s mod n'/2 = s & (n'/2 - 1)).
+inline ScatterBlockPlan scatter_block_plan(const ScatterNodeValue& c0,
+                                           const ScatterNodeValue& c1,
+                                           std::size_t n_prime,
+                                           std::size_t s) {
+  ScatterBlockPlan plan;
+  if (c0.type == c1.type) {
+    // ε/α-addition: exactly Lemma 1 over the shared dominant symbol.
+    plan.rule = RouteRule::ScatterAddition;
+    const auto g = lemmas::lemma1_geometry(n_prime, s, c0.surplus, c1.surplus);
+    plan.s0 = g.s0;
+    plan.s1 = g.s1;
+    plan.run = g.run;
+    return plan;
+  }
+  BRSMN_EXPECTS(is_pow2(n_prime) && n_prime >= 2 && s < n_prime);
+  const std::size_t mod_half = n_prime / 2 - 1;
+  // ε/α-elimination: Lemmas 2-5 via the unified Table 4 case split.
+  plan.rule = RouteRule::ScatterElimination;
+  plan.bcast = (c0.type == Tag::Alpha) ? SwitchSetting::UpperBcast
+                                       : SwitchSetting::LowerBcast;
+  if (c0.surplus >= c1.surplus) {
+    plan.l = c0.surplus - c1.surplus;
+    plan.s0 = s & mod_half;
+    plan.s1 = (s + plan.l) & mod_half;
+    plan.run_start = plan.s1;
+    plan.run_len = c1.surplus;
+    plan.ucast = SwitchSetting::Parallel;
+  } else {
+    plan.l = c1.surplus - c0.surplus;
+    plan.s0 = (s + plan.l) & mod_half;
+    plan.s1 = s & mod_half;
+    plan.run_start = plan.s0;
+    plan.run_len = c0.surplus;
+    plan.ucast = SwitchSetting::Cross;
+  }
+  return plan;
+}
 
 /// Materialize the n'/2 switch settings of a block plan (logical order).
 std::vector<SwitchSetting> scatter_block_settings(const ScatterBlockPlan& plan,

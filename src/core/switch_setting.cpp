@@ -14,12 +14,6 @@ SwitchSetting setting_from_int(int r) {
 
 int setting_to_int(SwitchSetting s) { return static_cast<int>(s); }
 
-SwitchSetting opposite_unicast(SwitchSetting s) {
-  BRSMN_EXPECTS(s == SwitchSetting::Parallel || s == SwitchSetting::Cross);
-  return s == SwitchSetting::Parallel ? SwitchSetting::Cross
-                                      : SwitchSetting::Parallel;
-}
-
 std::string_view setting_name(SwitchSetting s) {
   switch (s) {
     case SwitchSetting::Parallel: return "parallel";

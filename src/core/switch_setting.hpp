@@ -17,6 +17,8 @@
 #include <string_view>
 #include <vector>
 
+#include "common/contracts.hpp"
+
 namespace brsmn {
 
 enum class SwitchSetting : std::uint8_t {
@@ -33,7 +35,11 @@ int setting_to_int(SwitchSetting s);
 
 /// b-bar of Lemma 1: the opposite unicast setting (parallel <-> cross).
 /// Precondition: s is a unicast setting.
-SwitchSetting opposite_unicast(SwitchSetting s);
+inline SwitchSetting opposite_unicast(SwitchSetting s) {
+  BRSMN_EXPECTS(s == SwitchSetting::Parallel || s == SwitchSetting::Cross);
+  return s == SwitchSetting::Parallel ? SwitchSetting::Cross
+                                      : SwitchSetting::Parallel;
+}
 
 std::string_view setting_name(SwitchSetting s);
 std::ostream& operator<<(std::ostream& os, SwitchSetting s);

@@ -1,28 +1,16 @@
 #include "fault/fault_injector.hpp"
 
 #include "common/contracts.hpp"
+#include "core/level_kernel.hpp"
 
 namespace brsmn::fault {
 
 namespace {
 
-namespace pk = packed;
-
 bool scope_matches(const FaultSpec& f, ImplKind impl, RouteEngine engine) {
   if (f.impl && *f.impl != impl) return false;
   if (f.engine && *f.engine != engine) return false;
   return true;
-}
-
-/// Write the two datapath mask bits of one switch coherently (mirrors
-/// fill_masks in core/packed_kernel.cpp: su at the upper line, sl at the
-/// lower), clearing any bits the original configuration had set.
-void set_mask_switch(pk::StageMasks& mk, std::size_t up, std::size_t d,
-                     SwitchSetting s) {
-  pk::plane_set(mk.su, up,
-                s == SwitchSetting::Cross || s == SwitchSetting::LowerBcast);
-  pk::plane_set(mk.sl, up + d,
-                s == SwitchSetting::Cross || s == SwitchSetting::UpperBcast);
 }
 
 /// Resolve one armed fault against the configured setting, log it into
@@ -176,8 +164,8 @@ void PassSeam::apply_unrolled_packed(
         *this, pass, fault, fabric.setting(fault.stage, lsw));
     if (resolved) {
       fabric.set(fault.stage, lsw, *resolved);
-      set_mask_switch(masks[static_cast<std::size_t>(fault.stage - 1)], u, d,
-                      *resolved);
+      pkern::set_mask_switch(masks[static_cast<std::size_t>(fault.stage - 1)],
+                             u, d, *resolved);
     }
   }
 }
@@ -193,8 +181,8 @@ void PassSeam::apply_full_packed(Rbn& fabric, PassKind pass,
         *this, pass, fault, fabric.setting(fault.stage, fault.index));
     if (resolved) {
       fabric.set(fault.stage, fault.index, *resolved);
-      set_mask_switch(masks[static_cast<std::size_t>(fault.stage - 1)], u, d,
-                      *resolved);
+      pkern::set_mask_switch(masks[static_cast<std::size_t>(fault.stage - 1)],
+                             u, d, *resolved);
     }
   }
 }

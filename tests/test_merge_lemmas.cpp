@@ -11,6 +11,7 @@
 
 #include "common/contracts.hpp"
 #include "core/compact_sequence.hpp"
+#include "core/scatter.hpp"
 #include "helpers.hpp"
 
 namespace brsmn {
@@ -233,6 +234,176 @@ TEST_P(LemmaTest, EliminationLayoutMatchesSettingsExhaustively) {
       }
     }
   }
+}
+
+// The geometry the engines run (lemma1_geometry, elimination_layout,
+// scatter_block_plan) reduces mod n'/2 and div n'/2 to masks. These tests
+// hold it to a test-local reference that uses / and % exactly as Lemma 1
+// and Lemmas 2-5 state them, over every start and surplus pair for every
+// n' <= 128 — independent of lemma1(), which calls lemma1_geometry.
+
+constexpr std::size_t kMaxGeometryN = 128;
+
+/// Lemma 1: s0 = s mod n/2, s1 = (s + l0) mod n/2, and the first s1
+/// switches get b = floor((s + l0) / (n/2)) mod 2 (0 parallel, 1 cross).
+lemmas::Lemma1Geometry reference_lemma1(std::size_t n, std::size_t s,
+                                        std::size_t l0) {
+  const std::size_t half = n / 2;
+  const std::size_t b = ((s + l0) / half) % 2;
+  return {s % half, (s + l0) % half,
+          b == 0 ? SwitchSetting::Parallel : SwitchSetting::Cross};
+}
+
+/// The Table 4 / Appendix B case split on which halves of the output the
+/// surviving run [s, s + l) starts and ends in.
+lemmas::EliminationLayout reference_layout(std::size_t n, std::size_t s,
+                                           std::size_t l,
+                                           SwitchSetting ucast) {
+  const std::size_t half = n / 2;
+  const SwitchSetting bar = ucast == SwitchSetting::Parallel
+                                ? SwitchSetting::Cross
+                                : SwitchSetting::Parallel;
+  const std::size_t first_half = s / half;      // 0 or 1
+  const std::size_t end_half = (s + l) / half;  // 0, 1 or 2
+  if (first_half == 0) {
+    return end_half == 0 ? lemmas::EliminationLayout{ucast, ucast}
+                         : lemmas::EliminationLayout{bar, ucast};
+  }
+  return end_half == 1 ? lemmas::EliminationLayout{bar, bar}
+                       : lemmas::EliminationLayout{ucast, bar};
+}
+
+/// The Table 4 plan with the starts of lemma2..lemma5: when the upper
+/// child's surplus survives (Lemmas 2/4), s0 = s mod n/2 and the
+/// broadcast run of l1 switches starts at s1 = (s + l) mod n/2; when the
+/// lower child's does (Lemmas 3/5), s1 = s mod n/2 and the run of l0
+/// switches starts at s0 = (s + l) mod n/2.
+ScatterBlockPlan reference_scatter_plan(const ScatterNodeValue& c0,
+                                        const ScatterNodeValue& c1,
+                                        std::size_t n, std::size_t s) {
+  const std::size_t half = n / 2;
+  ScatterBlockPlan plan;
+  if (c0.type == c1.type) {
+    const auto g = reference_lemma1(n, s, c0.surplus);
+    plan.rule = RouteRule::ScatterAddition;
+    plan.s0 = g.s0;
+    plan.s1 = g.s1;
+    plan.run = g.run;
+    return plan;
+  }
+  plan.rule = RouteRule::ScatterElimination;
+  plan.bcast = c0.type == Tag::Alpha ? SwitchSetting::UpperBcast
+                                     : SwitchSetting::LowerBcast;
+  if (c0.surplus >= c1.surplus) {  // Lemma 2 (upper α) / Lemma 4 (upper ε)
+    plan.l = c0.surplus - c1.surplus;
+    plan.s0 = s % half;
+    plan.s1 = (s + plan.l) % half;
+    plan.run_start = plan.s1;
+    plan.run_len = c1.surplus;
+    plan.ucast = SwitchSetting::Parallel;
+  } else {  // Lemma 3 (upper α) / Lemma 5 (upper ε)
+    plan.l = c1.surplus - c0.surplus;
+    plan.s0 = (s + plan.l) % half;
+    plan.s1 = s % half;
+    plan.run_start = plan.s0;
+    plan.run_len = c0.surplus;
+    plan.ucast = SwitchSetting::Cross;
+  }
+  return plan;
+}
+
+bool same_plan(const ScatterBlockPlan& a, const ScatterBlockPlan& b) {
+  return a.rule == b.rule && a.s0 == b.s0 && a.s1 == b.s1 && a.run == b.run &&
+         a.l == b.l && a.run_start == b.run_start && a.run_len == b.run_len &&
+         a.ucast == b.ucast && a.bcast == b.bcast;
+}
+
+TEST(MergeLemmaGeometry, Lemma1GeometryMatchesPaperArithmetic) {
+  std::size_t mismatches = 0;
+  for (std::size_t n = 2; n <= kMaxGeometryN; n *= 2) {
+    for (std::size_t s = 0; s < n; ++s) {
+      for (std::size_t l0 = 0; l0 <= n / 2; ++l0) {
+        for (std::size_t l1 = 0; l1 <= n / 2; ++l1) {
+          const auto got = lemmas::lemma1_geometry(n, s, l0, l1);
+          const auto want = reference_lemma1(n, s, l0);
+          if (got.s0 != want.s0 || got.s1 != want.s1 || got.run != want.run) {
+            if (++mismatches <= 5) {
+              ADD_FAILURE() << "n=" << n << " s=" << s << " l0=" << l0
+                            << " l1=" << l1;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(MergeLemmaGeometry, EliminationLayoutMatchesPaperArithmetic) {
+  std::size_t mismatches = 0;
+  for (std::size_t n = 2; n <= kMaxGeometryN; n *= 2) {
+    for (std::size_t s = 0; s < n; ++s) {
+      // Surviving-run lengths l = |l0 - l1| <= n/2.
+      for (std::size_t l = 0; l <= n / 2; ++l) {
+        for (SwitchSetting ucast :
+             {SwitchSetting::Parallel, SwitchSetting::Cross}) {
+          const auto got = lemmas::elimination_layout(n, s, l, ucast);
+          const auto want = reference_layout(n, s, l, ucast);
+          if (got.before != want.before || got.after != want.after) {
+            if (++mismatches <= 5) {
+              ADD_FAILURE() << "n=" << n << " s=" << s << " l=" << l
+                            << " ucast=" << ucast;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(MergeLemmaGeometry, ScatterBlockPlanMatchesPaperArithmetic) {
+  // Same-type children take Lemma 1 (ε/α-addition); opposite types take
+  // Lemmas 2-5 (ε/α-elimination), with the α child upper or lower.
+  const std::pair<Tag, Tag> type_pairs[] = {{Tag::Alpha, Tag::Alpha},
+                                            {Tag::Eps, Tag::Eps},
+                                            {Tag::Alpha, Tag::Eps},
+                                            {Tag::Eps, Tag::Alpha}};
+  std::size_t mismatches = 0;
+  for (std::size_t n = 2; n <= kMaxGeometryN; n *= 2) {
+    for (const auto& [t0, t1] : type_pairs) {
+      for (std::size_t s = 0; s < n; ++s) {
+        for (std::size_t l0 = 0; l0 <= n / 2; ++l0) {
+          for (std::size_t l1 = 0; l1 <= n / 2; ++l1) {
+            const ScatterNodeValue c0{t0, l0};
+            const ScatterNodeValue c1{t1, l1};
+            const ScatterBlockPlan got = scatter_block_plan(c0, c1, n, s);
+            if (!same_plan(got, reference_scatter_plan(c0, c1, n, s))) {
+              if (++mismatches <= 5) {
+                ADD_FAILURE() << "n=" << n << " types=(" << t0 << "," << t1
+                              << ") s=" << s << " l0=" << l0 << " l1=" << l1;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(MergeLemmaGeometry, PreconditionsEnforced) {
+  // The mask arithmetic is only the paper's arithmetic for a power of
+  // two, so the preconditions must keep rejecting any other n'.
+  EXPECT_THROW(lemmas::lemma1_geometry(6, 0, 1, 1), ContractViolation);
+  EXPECT_THROW(lemmas::lemma1_geometry(12, 5, 2, 2), ContractViolation);
+  EXPECT_THROW(lemmas::lemma1_geometry(8, 8, 1, 1), ContractViolation);
+  EXPECT_THROW(lemmas::lemma1_geometry(8, 0, 5, 0), ContractViolation);
+  const ScatterNodeValue alpha{Tag::Alpha, 1};
+  const ScatterNodeValue eps{Tag::Eps, 1};
+  EXPECT_THROW(scatter_block_plan(alpha, alpha, 6, 0), ContractViolation);
+  EXPECT_THROW(scatter_block_plan(alpha, eps, 6, 0), ContractViolation);
+  EXPECT_THROW(scatter_block_plan(eps, alpha, 8, 8), ContractViolation);
 }
 
 TEST(MergeLemmas, PreconditionsEnforced) {

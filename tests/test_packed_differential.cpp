@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "common/rng.hpp"
 #include "core/brsmn.hpp"
 #include "core/feedback.hpp"
+#include "core/level_kernel.hpp"
 #include "core/multicast_assignment.hpp"
 #include "core/route_plan.hpp"
 #include "obs/fabric_heatmap.hpp"
@@ -189,6 +191,80 @@ TEST(PackedDifferentialEdge, SmallestNetwork) {
 
 TEST(PackedDifferentialEdge, PaperExample) {
   check_assignment(8, paper_example_assignment());
+}
+
+// --- stage-mask decode ------------------------------------------------------
+//
+// The configuration sweeps write only the packed stage masks; the fabric
+// grids and plan rows are decoded from them. The decode must invert both
+// mask writers — the sweeps' run writer (fill_masks) and the fault seam's
+// single-switch writer (set_mask_switch) — at every stage of every width
+// the word layout distinguishes (in-word pairs, whole-word halves, and a
+// partial word below n = 64).
+
+constexpr SwitchSetting kAllSettings[] = {
+    SwitchSetting::Parallel, SwitchSetting::Cross, SwitchSetting::UpperBcast,
+    SwitchSetting::LowerBcast};
+
+std::vector<SwitchSetting> decoded(const packed::StageMasks& mk, int stage,
+                                   std::size_t n) {
+  std::vector<SwitchSetting> row(n / 2);
+  pkern::decode_stage_settings(mk, stage, n, row);
+  return row;
+}
+
+TEST(StageMaskDecode, InvertsFillMasksOnEveryRunExhaustively) {
+  for (std::size_t n = 2; n <= 256; n *= 2) {
+    packed::StageMasks mk;
+    mk.resize(packed::words_for(n));
+    std::vector<SwitchSetting> want(n / 2);
+    std::size_t mismatches = 0;
+    for (int stage = 1; (std::size_t{1} << stage) <= n; ++stage) {
+      const std::size_t d = std::size_t{1} << (stage - 1);
+      for (std::size_t g = 0; g < n / (2 * d); ++g) {
+        for (std::size_t first = 0; first <= d; ++first) {
+          for (std::size_t count = 0; first + count <= d; ++count) {
+            for (SwitchSetting s : kAllSettings) {
+              mk.clear();
+              pkern::fill_masks(mk, stage, g, first, count, s);
+              std::fill(want.begin(), want.end(), SwitchSetting::Parallel);
+              const auto run = want.begin() +
+                               static_cast<std::ptrdiff_t>(g * d + first);
+              std::fill(run, run + static_cast<std::ptrdiff_t>(count), s);
+              if (decoded(mk, stage, n) != want && ++mismatches <= 5) {
+                ADD_FAILURE() << "n=" << n << " stage=" << stage << " g=" << g
+                              << " run=[" << first << "," << first + count
+                              << ") s=" << s;
+              }
+            }
+          }
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << "n=" << n;
+  }
+}
+
+TEST(StageMaskDecode, InvertsSetMaskSwitchOnRandomSwitches) {
+  Rng rng(test_seed(9100));
+  for (std::size_t n = 2; n <= 256; n *= 2) {
+    for (int stage = 1; (std::size_t{1} << stage) <= n; ++stage) {
+      const std::size_t d = std::size_t{1} << (stage - 1);
+      packed::StageMasks mk;
+      mk.resize(packed::words_for(n));
+      std::vector<SwitchSetting> want(n / 2, SwitchSetting::Parallel);
+      // Overwrites land on switches whose bits are already set, as a
+      // stuck-at fault does on a configured stage.
+      for (int step = 0; step < 200; ++step) {
+        const std::size_t sw = rng.uniform(0, n / 2 - 1);
+        const SwitchSetting s = kAllSettings[rng.uniform(0, 3)];
+        pkern::set_mask_switch(mk, (sw / d) * 2 * d + sw % d, d, s);
+        want[sw] = s;
+        ASSERT_EQ(decoded(mk, stage, n), want)
+            << "n=" << n << " stage=" << stage << " step=" << step;
+      }
+    }
+  }
 }
 
 // --- SIMD backend property sweep -------------------------------------------

@@ -355,6 +355,41 @@ TEST(RoutePlanZeroAlloc, SteadyStateFeedbackReplayDoesNotAllocate) {
   EXPECT_EQ(out.delivered, plan.delivered);
 }
 
+/// Heap allocations made by one warm route of `Net` on the packed engine
+/// with no plan (the network's compile workspace sized by earlier routes).
+template <typename Net>
+std::uint64_t warm_packed_route_allocs(std::size_t n, std::uint64_t seed) {
+  Rng rng(test_seed(seed));
+  const MulticastAssignment a = random_multicast(n, 0.6, rng);
+  Net net(n);
+  RouteOptions opts;  // self-check on; no metrics/tracer/explain/faults
+  opts.engine = RouteEngine::Packed;
+  net.route(a, opts);
+  net.route(a, opts);
+  const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  const RouteResult r = net.route(a, opts);
+  const std::uint64_t allocs =
+      g_heap_allocs.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(r.delivered, expected_delivery(a));
+  return allocs;
+}
+
+// A warm packed route allocates only its per-route result and checks,
+// nothing per level: the count is the same at every n.
+TEST(RoutePlanZeroAlloc, WarmPackedRouteAllocationsDoNotGrowWithLevels) {
+  const std::uint64_t at256 = warm_packed_route_allocs<Brsmn>(256, 8700);
+  EXPECT_EQ(warm_packed_route_allocs<Brsmn>(1024, 8701), at256);
+  EXPECT_EQ(warm_packed_route_allocs<Brsmn>(4096, 8702), at256);
+}
+
+TEST(RoutePlanZeroAlloc,
+     WarmPackedFeedbackRouteAllocationsDoNotGrowWithLevels) {
+  const std::uint64_t at256 =
+      warm_packed_route_allocs<FeedbackBrsmn>(256, 8800);
+  EXPECT_EQ(warm_packed_route_allocs<FeedbackBrsmn>(1024, 8801), at256);
+  EXPECT_EQ(warm_packed_route_allocs<FeedbackBrsmn>(4096, 8802), at256);
+}
+
 // --- heap footprint of a warm compile --------------------------------------
 
 /// Heap bytes requested by one warm planner::compile_route of `a` (the

@@ -218,9 +218,7 @@ Cluster::~Cluster() { stop(); }
 
 std::size_t Cluster::choose_shard(std::uint64_t key, std::size_t& primary,
                                   bool& canary) {
-  std::vector<std::size_t> order;
-  placement_order_into(key, shards_.size(), order);
-  primary = order[0];
+  primary = primary_shard(key, shards_.size());
   canary = false;
   if (shards_[primary]->state.load(std::memory_order_acquire) !=
       ShardState::Quarantined) {
@@ -235,6 +233,8 @@ std::size_t Cluster::choose_shard(std::uint64_t key, std::size_t& primary,
     canary = true;
     return primary;
   }
+  std::vector<std::size_t> order;
+  placement_order_into(key, shards_.size(), order);
   for (std::size_t i = 1; i < order.size(); ++i) {
     if (shards_[order[i]]->state.load(std::memory_order_acquire) !=
         ShardState::Quarantined) {

@@ -59,9 +59,30 @@ std::chrono::microseconds backoff_for_attempt(const RetryPolicy& policy,
   return std::chrono::microseconds{static_cast<std::int64_t>(us)};
 }
 
+namespace {
+
+/// The fallback ladder for `options`, primary path first.
+std::vector<RoutePath> build_ladder(const ResilientOptions& options) {
+  const RetryPolicy& retry = options.retry;
+  std::vector<RoutePath> paths;
+  paths.push_back({options.engine, false});
+  if (retry.fallback_engine && options.engine == RouteEngine::Packed) {
+    paths.push_back({RouteEngine::Scalar, false});
+  }
+  if (retry.fallback_implementation) {
+    paths.push_back({options.engine, true});
+    if (retry.fallback_engine && options.engine == RouteEngine::Packed) {
+      paths.push_back({RouteEngine::Scalar, true});
+    }
+  }
+  return paths;
+}
+
+}  // namespace
+
 ResilientRouter::ResilientRouter(std::size_t n,
                                  const ResilientOptions& options)
-    : n_(n), options_(options), unrolled_(n) {
+    : n_(n), options_(options), ladder_(build_ladder(options)), unrolled_(n) {
   validate(options_.retry);
   if (options_.faults != nullptr) {
     BRSMN_EXPECTS_MSG(options_.faults->size() == n,
@@ -83,22 +104,6 @@ void ResilientRouter::clear_stop() {
 }
 
 ResilientRouter::~ResilientRouter() = default;
-
-std::vector<RoutePath> ResilientRouter::ladder() const {
-  const RetryPolicy& retry = options_.retry;
-  std::vector<RoutePath> paths;
-  paths.push_back({options_.engine, false});
-  if (retry.fallback_engine && options_.engine == RouteEngine::Packed) {
-    paths.push_back({RouteEngine::Scalar, false});
-  }
-  if (retry.fallback_implementation) {
-    paths.push_back({options_.engine, true});
-    if (retry.fallback_engine && options_.engine == RouteEngine::Packed) {
-      paths.push_back({RouteEngine::Scalar, true});
-    }
-  }
-  return paths;
-}
 
 void ResilientRouter::bump(const char* counter_name, std::uint64_t& local) {
   ++local;
@@ -141,7 +146,7 @@ RequestOutcome ResilientRouter::route_ladder(
 
 RequestOutcome ResilientRouter::run_ladder(const AttemptFn& attempt) {
   RequestOutcome out;
-  const std::vector<RoutePath> paths = ladder();
+  const std::vector<RoutePath>& paths = ladder_;
   const std::size_t per_path =
       std::max<std::size_t>(1, options_.retry.max_attempts_per_path);
   std::size_t failures = 0;

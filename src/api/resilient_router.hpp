@@ -191,8 +191,9 @@ class ResilientRouter {
   std::uint64_t degraded_deliveries() const noexcept { return degraded_; }
   std::uint64_t faults_gaveup() const noexcept { return gaveup_; }
 
-  /// The fallback ladder this router walks, primary path first.
-  std::vector<RoutePath> ladder() const;
+  /// The fallback ladder this router walks, primary path first (fixed by
+  /// the options at construction).
+  const std::vector<RoutePath>& ladder() const noexcept { return ladder_; }
 
   /// Shutdown-aware backoff: wake any ladder currently sleeping in a
   /// retry backoff and skip every subsequent backoff, so tearing down a
@@ -224,6 +225,7 @@ class ResilientRouter {
 
   std::size_t n_;
   ResilientOptions options_;
+  std::vector<RoutePath> ladder_;
   Brsmn unrolled_;
   std::unique_ptr<FeedbackBrsmn> feedback_;  ///< lazy: first fallback use
   std::unique_ptr<ParallelRouter> batch_;    ///< lazy: first route_batch

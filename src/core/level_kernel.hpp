@@ -99,12 +99,30 @@ struct LevelKernel {
   }
 };
 
+/// The datapath mask bits of one switch setting (see packed::StageMasks):
+/// su, at the pair's upper line, is set for Cross and LowerBcast; sl, at
+/// its lower line, for Cross and UpperBcast. Every mask writer goes
+/// through these two — the runs of fill_masks, the fault seam's
+/// set_mask_switch, and the bottom-stage tables (core/block_tables.hpp).
+constexpr bool sets_su(SwitchSetting s) {
+  return s == SwitchSetting::Cross || s == SwitchSetting::LowerBcast;
+}
+constexpr bool sets_sl(SwitchSetting s) {
+  return s == SwitchSetting::Cross || s == SwitchSetting::UpperBcast;
+}
+
+/// The inverse: the setting whose mask bits are (su, sl), su | (su^sl)<<1
+/// — (0,0) Parallel, (1,1) Cross, (0,1) UpperBcast, (1,0) LowerBcast.
+constexpr SwitchSetting setting_from_bits(bool su, bool sl) {
+  return static_cast<SwitchSetting>(static_cast<unsigned>(su) |
+                                    (static_cast<unsigned>(su != sl) << 1));
+}
+
 /// Set switches [first, first+count) of global block `gblock` at `stage`
 /// in the datapath masks: su at each pair's upper line, sl at its lower
-/// line (see packed::StageMasks). This is the configuration sweeps' only
-/// writer; the fabric grids and plan rows are decoded from the masks
-/// afterwards (decode_stage_settings). Parallel runs need no bits, so the
-/// masks must start the pass cleared.
+/// line. This is the per-node sweeps' writer; the fabric grids and plan
+/// rows are decoded from the masks afterwards (decode_stage_settings).
+/// Parallel runs need no bits, so the masks must start the pass cleared.
 inline void fill_masks(packed::StageMasks& mk, int stage, std::size_t gblock,
                        std::size_t first, std::size_t count,
                        SwitchSetting s) {
@@ -112,12 +130,8 @@ inline void fill_masks(packed::StageMasks& mk, int stage, std::size_t gblock,
   const std::size_t d = std::size_t{1} << (stage - 1);
   const std::size_t up = gblock * 2 * d + first;
   const std::size_t low = up + d;
-  if (s != SwitchSetting::UpperBcast) {
-    packed::plane_fill(mk.su, up, up + count);
-  }
-  if (s != SwitchSetting::LowerBcast) {
-    packed::plane_fill(mk.sl, low, low + count);
-  }
+  if (sets_su(s)) packed::plane_fill(mk.su, up, up + count);
+  if (sets_sl(s)) packed::plane_fill(mk.sl, low, low + count);
 }
 
 /// Write the two mask bits of the one switch whose upper line is `up` at
@@ -125,9 +139,8 @@ inline void fill_masks(packed::StageMasks& mk, int stage, std::size_t gblock,
 /// (the fault seam's writer).
 inline void set_mask_switch(packed::StageMasks& mk, std::size_t up,
                             std::size_t d, SwitchSetting s) {
-  const bool cross = s == SwitchSetting::Cross;
-  packed::plane_set(mk.su, up, cross || s == SwitchSetting::LowerBcast);
-  packed::plane_set(mk.sl, up + d, cross || s == SwitchSetting::UpperBcast);
+  packed::plane_set(mk.su, up, sets_su(s));
+  packed::plane_set(mk.sl, up + d, sets_sl(s));
 }
 
 /// Decode stage `stage`'s masks over n lines into the stage's n/2 switch
@@ -215,10 +228,10 @@ struct ReplayWorkspace {
 /// ReplayWorkspace: one widest-level kernel (begin_level reconfigures it
 /// per level) plus every per-level buffer the configuration sweeps need —
 /// the SoA tag censuses, the ε0 selection plane, the scatter type tree
-/// (flat, level j at offset 2n - n/2^(j-1)), the backward-sweep run
-/// starts, the per-block entry tallies, the decoded settings row, the
-/// line records with their gather double buffer and destination array,
-/// and the final level's heads and sources.
+/// (flat from level 2, level j at offset n/2 - n/2^(j-1)), the
+/// backward-sweep run starts, the per-block entry tallies, the decoded
+/// settings row, the line records with their gather double buffer and
+/// destination array, and the final level's heads and sources.
 /// First route allocates once; warm compiles reuse everything.
 struct CompileWorkspace {
   LevelKernel kx;
@@ -226,7 +239,7 @@ struct CompileWorkspace {
   packed::TagCensus mid;      ///< post-scatter census
   packed::TagCensus divided;  ///< post-ε-division census
   packed::Words eps0_sel;
-  std::vector<std::uint8_t> type;  ///< flat scatter type tree (<= 2n)
+  std::vector<std::uint8_t> type;  ///< flat scatter type tree (< n/2)
   std::vector<std::size_t> start;
   std::vector<std::size_t> next;
   std::vector<std::size_t> in_zeros;
@@ -256,7 +269,7 @@ struct CompileWorkspace {
     lines.reserve(n);
     line_buf.reserve(n);
     dests.reserve(n);
-    type.reserve(2 * n);
+    type.reserve(n / 2);
     start.reserve(n / 2);
     next.reserve(n / 2);
   }

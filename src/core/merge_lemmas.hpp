@@ -41,7 +41,8 @@ struct MergePlan {
 /// The settings-free core of Lemma 1: the child start positions plus the
 /// W^{n/2}_{0,s1;b-bar,b} run value b. lemma1() materializes the settings
 /// vector from this; the packed kernel fills stage bitmasks from it
-/// directly, so both engines share one copy of the decision arithmetic.
+/// directly (and generates its bottom-stage tables from it at compile
+/// time), so both engines share one copy of the decision arithmetic.
 struct Lemma1Geometry {
   std::size_t s0 = 0;
   std::size_t s1 = 0;
@@ -52,8 +53,8 @@ struct Lemma1Geometry {
 /// Preconditions as lemma1(). n is a power of two, so Lemma 1's
 /// s mod n/2 is s & (n/2 - 1) and b = floor((s + l0) / (n/2)) mod 2 is
 /// the n/2 bit of s + l0.
-inline Lemma1Geometry lemma1_geometry(std::size_t n, std::size_t s,
-                                      std::size_t l0, std::size_t l1) {
+constexpr Lemma1Geometry lemma1_geometry(std::size_t n, std::size_t s,
+                                         std::size_t l0, std::size_t l1) {
   BRSMN_EXPECTS(is_pow2(n) && n >= 2);
   BRSMN_EXPECTS(s < n);
   BRSMN_EXPECTS(l0 <= n / 2 && l1 <= n / 2);
@@ -76,9 +77,9 @@ struct EliminationLayout {
   SwitchSetting after = SwitchSetting::Parallel;
 };
 
-inline EliminationLayout elimination_layout(std::size_t n, std::size_t s,
-                                            std::size_t l,
-                                            SwitchSetting ucast) {
+constexpr EliminationLayout elimination_layout(std::size_t n, std::size_t s,
+                                               std::size_t l,
+                                               SwitchSetting ucast) {
   const SwitchSetting ucast_bar = opposite_unicast(ucast);
   const std::size_t half = n / 2;
   if (s + l < half) return {ucast, ucast};

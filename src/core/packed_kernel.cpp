@@ -9,6 +9,7 @@
 
 #include "common/bits.hpp"
 #include "common/contracts.hpp"
+#include "core/block_tables.hpp"
 #include "core/brsmn.hpp"
 #include "core/feedback.hpp"
 #include "core/level_kernel.hpp"
@@ -356,10 +357,12 @@ void select_prefix(std::span<const std::uint64_t> plane,
 // line state is transposed into bit-planes (a code identifying the packet
 // plus the 3-bit tag encoding of Table 1), every configuration decision of
 // the scalar algorithms is reproduced through the shared plan functions
-// (scatter_block_plan / lemma1_geometry / elimination_layout), and the
-// datapath applies whole stages as masked word shuffles. Broadcast events
-// are precomputed during configuration; copy ids are assigned in exactly
-// the order the scalar propagation would allocate them.
+// (scatter_block_plan / lemma1_geometry / elimination_layout) — per node
+// in the upper stages, through the tables generated from them
+// (core/block_tables.hpp) in the bottom ones — and the datapath applies
+// whole stages as masked word shuffles. Broadcast events are precomputed
+// during configuration; copy ids are assigned in exactly the order the
+// scalar propagation would allocate them.
 // ---------------------------------------------------------------------------
 
 namespace brsmn {
@@ -617,37 +620,63 @@ void capture_stage_events(const LevelKernel& kx,
   dst.assign(kx.events.begin(), kx.events.begin() + kx.stages);
 }
 
-/// Start of level j's node types in the workspace's flat scatter type
-/// tree: level j's n/2^j types start at 2n - n/2^(j-1) (level 0 at 0).
+/// Start of level j's node types (j >= 2) in the workspace's flat scatter
+/// type tree: level j's n/2^j types start at n/2 - n/2^(j-1). Levels 0
+/// and 1 are never stored: the tables settle stages 1-2 from the lines'
+/// indicator bits directly.
 constexpr std::size_t type_offset(std::size_t n, int j) {
-  return j == 0 ? std::size_t{0} : 2 * n - (n >> (j - 1));
+  return (n >> 1) - (n >> (j - 1));
 }
 
-/// The forward-phase value of scatter tree node (j, b): its type from the
-/// workspace type tree, its surplus from the census counts.
+/// The forward-phase value of scatter tree node (j, b), j >= 2: its type
+/// from the workspace type tree, its surplus from the census counts.
 ScatterNodeValue scatter_node(const pkern::CompileWorkspace& ws,
                               const pk::TagCensus& census, int j,
                               std::size_t b) {
-  if (j == 0) {
-    const bool a = pk::plane_get(census.alpha(), b);
-    const bool e = pk::plane_get(census.eps(), b);
-    return {a ? Tag::Alpha : Tag::Eps, (a || e) ? std::size_t{1} : 0};
-  }
   const std::size_t na = census.count_alpha(j, b);
   const std::size_t ne = census.count_eps(j, b);
   return {ws.type[type_offset(ws.kx.n, j) + b] ? Tag::Alpha : Tag::Eps,
           na >= ne ? na - ne : ne - na};
 }
 
-/// Word-parallel scatter configuration over the full width: the forward
-/// phase reads per-node alpha/eps counts from the pyramids (with the
+/// The upper lines of a mask word's pairs at distance 1 and 2.
+constexpr std::uint64_t kUpperLines[2] = {0x5555555555555555ull,
+                                          0x3333333333333333ull};
+
+/// Explain records of the table-settled nodes of one block: stages
+/// 1..D of the 2^D lines starting at `first_line`, whose stage-j mask
+/// fields are su[j-1] / sl[j-1]. rule(j, t) names the rule of the t-th
+/// stage-j node inside the block.
+template <class RuleFn>
+void record_table_block(const ExplainSink& sink, std::size_t first_line,
+                        int D, const std::uint8_t* su, const std::uint8_t* sl,
+                        RuleFn&& rule) {
+  SwitchSetting settings[4];
+  for (int j = 1; j <= D; ++j) {
+    const unsigned d = 1u << (j - 1);
+    for (unsigned t = 0; t < (1u << D) / (2 * d); ++t) {
+      for (unsigned i = 0; i < d; ++i) {
+        const unsigned up = 2 * d * t + i;
+        settings[i] = pkern::setting_from_bits((su[j - 1] >> up) & 1u,
+                                               (sl[j - 1] >> (up + d)) & 1u);
+      }
+      sink.record_block(j, (first_line >> j) + t,
+                        std::span<const SwitchSetting>(settings, d),
+                        rule(j, t));
+    }
+  }
+}
+
+/// Word-parallel scatter configuration over the full width. The forward
+/// phase types the level-2 nodes from the table (the lines' α and ε
+/// nibbles) and every coarser node from the census counts (with the
 /// scalar combine()'s tie-type propagation: a zero-surplus node inherits
-/// its upper child's type), the backward phase runs the shared
-/// scatter_block_plan per node and emits contiguous setting runs into the
-/// stage masks, the explain sink, and the broadcast-event lists. All BSN
-/// roots start their runs at 0, exactly as both scalar engines do. The
-/// type tree stays in the workspace, so scatter_node reads the root
-/// values for the unrolled engine's Eq. (3) check.
+/// its upper child's type). The backward phase runs the shared
+/// scatter_block_plan per node of stages S..3 and emits its runs into the
+/// stage masks, the explain sink and the broadcast-event lists; stages 2
+/// and 1 take one kScatterBlocks lookup per 4-line block, and their
+/// broadcast events are read back from the masks. All BSN roots start
+/// their runs at 0, exactly as both scalar engines do.
 void configure_scatter_packed(pkern::CompileWorkspace& ws,
                               const pk::TagCensus& census,
                               RoutingStats* stats,
@@ -655,24 +684,31 @@ void configure_scatter_packed(pkern::CompileWorkspace& ws,
   LevelKernel& kx = ws.kx;
   const std::size_t n = kx.n;
   const int S = kx.stages;
-
-  // Flat type tree (see type_offset), so the forward sweep is two array
-  // loads and a branchless select per node.
-  ws.type.resize(2 * n - (n >> S));
-  std::uint8_t* type = ws.type.data();
+  BRSMN_EXPECTS(S >= 2);
   const auto alpha = census.alpha();
-  for (std::size_t i = 0; i < n; ++i) {
-    type[i] =
-        static_cast<std::uint8_t>((alpha[i / 64] >> (i % 64)) & 1u);
+  const auto eps = census.eps();
+  const std::size_t wpl = pk::words_for(n);
+  auto nibble = [](std::span<const std::uint64_t> plane, std::size_t c) {
+    return (plane[c / 16] >> (4 * (c % 16))) & 0xfu;
+  };
+
+  // Flat type tree (see type_offset) over the levels the per-node sweep
+  // reads: 2..S-1.
+  ws.type.resize(S > 2 ? type_offset(n, S) : 0);
+  std::uint8_t* type = ws.type.data();
+  if (S > 2) {
+    for (std::size_t c = 0; c < n / 4; ++c) {
+      type[c] = pkern::kScatterBlocks[pkern::scatter_index(
+                                          0, nibble(alpha, c), nibble(eps, c))]
+                    .alpha;
+    }
   }
-  for (int j = 1; j <= S; ++j) {
+  for (int j = 3; j < S; ++j) {
     const std::uint8_t* child = type + type_offset(n, j - 1);
     std::uint8_t* cur = type + type_offset(n, j);
     for (std::size_t b = 0; b < (n >> j); ++b) {
       const std::size_t na = census.count_alpha(j, b);
       const std::size_t ne = census.count_eps(j, b);
-      // The scalar combine()'s tie-type propagation, branch-free: a
-      // zero-surplus node inherits its upper child's type.
       cur[b] = na != ne ? static_cast<std::uint8_t>(na > ne) : child[2 * b];
     }
   }
@@ -684,9 +720,8 @@ void configure_scatter_packed(pkern::CompileWorkspace& ws,
   std::vector<std::size_t>& start = ws.start;
   std::vector<std::size_t>& next = ws.next;
   start.assign(n >> S, 0);
-  for (int j = S; j >= 1; --j) {
+  for (int j = S; j >= 3; --j) {
     const std::size_t np = std::size_t{1} << j;
-    const std::size_t half = np / 2;
     next.assign(n >> (j - 1), 0);
     auto& mk = kx.masks[static_cast<std::size_t>(j - 1)];
     auto& evs = kx.events[static_cast<std::size_t>(j - 1)];
@@ -698,41 +733,18 @@ void configure_scatter_packed(pkern::CompileWorkspace& ws,
       next[2 * b] = plan.s0;
       next[2 * b + 1] = plan.s1;
       const std::size_t base_line = b << j;
-      auto seg = [&](std::size_t first, std::size_t count, SwitchSetting w) {
-        fill_masks(mk, j, b, first, count, w);
-      };
-      if (plan.rule == RouteRule::ScatterAddition) {
-        seg(0, plan.s1, plan.run);
-        seg(plan.s1, half - plan.s1, opposite_unicast(plan.run));
-      } else {
-        const auto layout =
-            lemmas::elimination_layout(np, s, plan.l, plan.ucast);
-        const std::size_t rs = plan.run_start;
-        const std::size_t rl = plan.run_len;
-        const bool aup = plan.bcast == SwitchSetting::UpperBcast;
-        if (rs + rl <= half) {
-          seg(0, rs, layout.before);
-          seg(rs, rl, plan.bcast);
-          seg(rs + rl, half - rs - rl, layout.after);
-          for (std::size_t t = rs; t < rs + rl; ++t) {
-            evs.push_back({base_line + t, aup, 0});
-          }
-        } else {
-          // The broadcast run wraps; this only happens in the binary
-          // regimes of Lemmas 2-5, where both unicast fills agree.
-          const std::size_t rem = rs + rl - half;
-          BRSMN_ENSURES(layout.before == layout.after);
-          seg(0, rem, plan.bcast);
-          seg(rem, rs - rem, layout.before);
-          seg(rs, half - rs, plan.bcast);
-          for (std::size_t t = 0; t < rem; ++t) {
-            evs.push_back({base_line + t, aup, 0});
-          }
-          for (std::size_t t = rs; t < half; ++t) {
-            evs.push_back({base_line + t, aup, 0});
-          }
-        }
-      }
+      pkern::scatter_block_runs(
+          plan, np, s,
+          [&](std::size_t first, std::size_t count, SwitchSetting w) {
+            fill_masks(mk, j, b, first, count, w);
+            if (w != SwitchSetting::UpperBcast &&
+                w != SwitchSetting::LowerBcast) {
+              return;
+            }
+            for (std::size_t t = first; t < first + count; ++t) {
+              evs.push_back({base_line + t, w == SwitchSetting::UpperBcast, 0});
+            }
+          });
       if (explain != nullptr) {
         const std::vector<SwitchSetting> settings =
             scatter_block_settings(plan, np, s);
@@ -740,6 +752,47 @@ void configure_scatter_packed(pkern::CompileWorkspace& ws,
       }
     }
     start.swap(next);
+  }
+
+  // Stages 2 and 1: one lookup per 4-line block (start[c] now holds the
+  // level-2 run starts), accumulated a mask word at a time.
+  auto& mk1 = kx.masks[0];
+  auto& mk2 = kx.masks[1];
+  for (std::size_t w = 0; w < wpl; ++w) {
+    std::uint64_t su1 = 0, sl1 = 0, su2 = 0, sl2 = 0;
+    const std::size_t lines = std::min(pk::kWordBits, n - w * pk::kWordBits);
+    for (std::size_t off = 0; off < lines; off += 4) {
+      const std::size_t c = (w * pk::kWordBits + off) / 4;
+      const pkern::ScatterBlockEntry& e =
+          pkern::kScatterBlocks[pkern::scatter_index(
+              start[c], (alpha[w] >> off) & 0xfu, (eps[w] >> off) & 0xfu)];
+      su1 |= std::uint64_t{e.su[0]} << off;
+      sl1 |= std::uint64_t{e.sl[0]} << off;
+      su2 |= std::uint64_t{e.su[1]} << off;
+      sl2 |= std::uint64_t{e.sl[1]} << off;
+      if (explain != nullptr) {
+        record_table_block(*explain, 4 * c, 2, e.su, e.sl,
+                           [&](int j, unsigned t) {
+                             const unsigned bit = j == 2 ? 0 : 1 + t;
+                             return ((e.elim >> bit) & 1u)
+                                        ? RouteRule::ScatterElimination
+                                        : RouteRule::ScatterAddition;
+                           });
+      }
+    }
+    mk1.su[w] = su1;
+    mk1.sl[w] = sl1;
+    mk2.su[w] = su2;
+    mk2.sl[w] = sl2;
+    const std::size_t first = w * pk::kWordBits;
+    pkern::for_each_broadcast(su2, sl2, 2, kUpperLines[1],
+                              [&](unsigned t, bool aup) {
+                                kx.events[1].push_back({first + t, aup, 0});
+                              });
+    pkern::for_each_broadcast(su1, sl1, 1, kUpperLines[0],
+                              [&](unsigned t, bool aup) {
+                                kx.events[0].push_back({first + t, aup, 0});
+                              });
   }
 }
 
@@ -807,10 +860,53 @@ void divide_eps_packed(pkern::CompileWorkspace& ws,
   }
 }
 
+/// One quasisort table pass over the masks: a kQuasisortBlocks lookup per
+/// block of 2^D lines (start[c] holds the run start of block c), its
+/// stage 1..D fields OR-ed in a mask word at a time. D = 3 covers the
+/// bottom three stages of any S >= 3 level; an S = 2 level (D = 2) reads
+/// the upper 4-line half of an 8-line entry with the lower half's ones
+/// clear — below a start s < 4 every stage-3 node hands its upper child
+/// that same start (s mod 4 = s).
+template <int D>
+void quasisort_table_stages(LevelKernel& kx, const pk::TagCensus& census,
+                            const std::vector<std::size_t>& start,
+                            const ExplainSink* explain) {
+  constexpr std::size_t cell = std::size_t{1} << D;
+  constexpr std::uint64_t field = (std::uint64_t{1} << cell) - 1;
+  const std::size_t n = kx.n;
+  const auto ones = census.ones();
+  for (std::size_t w = 0; w < pk::words_for(n); ++w) {
+    std::uint64_t su[D] = {};
+    std::uint64_t sl[D] = {};
+    const std::size_t lines = std::min(pk::kWordBits, n - w * pk::kWordBits);
+    for (std::size_t off = 0; off < lines; off += cell) {
+      const std::size_t c = (w * pk::kWordBits + off) >> D;
+      const pkern::QuasisortBlockEntry& e =
+          pkern::kQuasisortBlocks[pkern::quasisort_index(
+              start[c], (ones[w] >> off) & field)];
+      for (int j = 0; j < D; ++j) {
+        su[j] |= (e.su[j] & field) << off;
+        sl[j] |= (e.sl[j] & field) << off;
+      }
+      if (explain != nullptr) {
+        record_table_block(*explain, cell * c, D, e.su, e.sl,
+                           [](int, unsigned) {
+                             return RouteRule::QuasisortMerge;
+                           });
+      }
+    }
+    for (int j = 0; j < D; ++j) {
+      kx.masks[static_cast<std::size_t>(j)].su[w] = su[j];
+      kx.masks[static_cast<std::size_t>(j)].sl[w] = sl[j];
+    }
+  }
+}
+
 /// Word-parallel quasisort configuration: per BSN block a Theorem-1 bit
-/// sort of the b2 keys with the 1-run starting at the midpoint, each merge
-/// node solved by the shared lemma1_geometry and emitted into the stage
-/// masks.
+/// sort of the b2 keys with the 1-run starting at the midpoint. Each
+/// merge node of stages S..4 is solved by the shared lemma1_geometry and
+/// emitted into the stage masks; the bottom three stages take one
+/// kQuasisortBlocks lookup per 8-line block.
 void configure_quasisort_packed(pkern::CompileWorkspace& ws,
                                 const pk::TagCensus& census,
                                 RoutingStats* stats,
@@ -818,32 +914,31 @@ void configure_quasisort_packed(pkern::CompileWorkspace& ws,
   LevelKernel& kx = ws.kx;
   const std::size_t n = kx.n;
   const int S = kx.stages;
+  BRSMN_EXPECTS(S >= 2);
   const std::size_t np = std::size_t{1} << S;
   for (std::size_t bb = 0; bb < (n >> S); ++bb) {
     BRSMN_EXPECTS_MSG(census.count_ones(S, bb) == np / 2,
                       "quasisort requires exactly n/2 (real+dummy) ones");
   }
-  auto ones_at = [&](int j, std::size_t b) -> std::size_t {
-    if (j == 0) return pk::plane_get(census.ones(), b) ? 1 : 0;
-    return census.count_ones(j, b);
-  };
   std::vector<std::size_t>& start = ws.start;
   std::vector<std::size_t>& next = ws.next;
   start.assign(n >> S, np / 2);
-  for (int j = S; j >= 1; --j) {
+  for (int j = S; j >= 4; --j) {
     const std::size_t nprime = std::size_t{1} << j;
     const std::size_t half = nprime / 2;
     next.assign(n >> (j - 1), 0);
     auto& mk = kx.masks[static_cast<std::size_t>(j - 1)];
     for (std::size_t b = 0; b < (n >> j); ++b) {
       const std::size_t s = start[b];
-      const std::size_t l0 = ones_at(j - 1, 2 * b);
-      const std::size_t l1 = ones_at(j - 1, 2 * b + 1);
+      const std::size_t l0 = census.count_ones(j - 1, 2 * b);
+      const std::size_t l1 = census.count_ones(j - 1, 2 * b + 1);
       const lemmas::Lemma1Geometry g = lemmas::lemma1_geometry(nprime, s, l0, l1);
       next[2 * b] = g.s0;
       next[2 * b + 1] = g.s1;
-      fill_masks(mk, j, b, 0, g.s1, g.run);
-      fill_masks(mk, j, b, g.s1, half - g.s1, opposite_unicast(g.run));
+      pkern::lemma1_runs(
+          g, half, [&](std::size_t first, std::size_t count, SwitchSetting w) {
+            fill_masks(mk, j, b, first, count, w);
+          });
       if (explain != nullptr) {
         const std::vector<SwitchSetting> settings = binary_compact_setting(
             nprime, 0, g.s1, opposite_unicast(g.run), g.run);
@@ -851,6 +946,11 @@ void configure_quasisort_packed(pkern::CompileWorkspace& ws,
       }
     }
     start.swap(next);
+  }
+  if (S == 2) {
+    quasisort_table_stages<2>(kx, census, start, explain);
+  } else {
+    quasisort_table_stages<3>(kx, census, start, explain);
   }
   if (stats) {
     stats->tree_fwd_ops += n - (n >> S);
@@ -910,14 +1010,18 @@ std::vector<LineValue> line_values(const pkern::CompileWorkspace& ws,
 constexpr Tag kTagDecoding[8] = {Tag::Zero, Tag::One,   Tag::Eps,  Tag::Eps,
                                  Tag::Alpha, Tag::Eps, Tag::Eps0, Tag::Eps1};
 
+/// Byte lanes of the gather's code transpose: codes have wcode <= 64 bits.
+constexpr std::size_t kMaxCodeLanes = 8;
+
 /// Rebuild the level's line records from the planes after the quasisort
 /// datapath: codes below n move the corresponding input record; event
 /// codes materialize the scalar engine's broadcast copies (0-copy on the
 /// even code) from the latched parent record. Every record then keeps the
 /// half of its destination range that its exit tag names (`bit` is the
 /// level's midpoint bit) and remembers the exit tag for the self-check.
-/// The tag decode is one tag_unpack transpose, and the codes of each
-/// word's occupied lines are transposed out of the code planes together.
+/// The tag decode is one tag_unpack transpose, and the codes are
+/// transposed out of the code planes 8 lines per spread_byte_bits
+/// multiply, skipping groups with no occupied line.
 void gather_lines(pkern::CompileWorkspace& ws, int bit) {
   LevelKernel& kx = ws.kx;
   const std::size_t n = kx.n;
@@ -939,6 +1043,8 @@ void gather_lines(pkern::CompileWorkspace& ws, int bit) {
   std::vector<std::uint8_t>& first_side_done = ws.side_done;
   first_side_done.assign(kx.num_events, 0);
   std::size_t codes[pk::kWordBits];
+  const std::size_t code_lanes = (kx.wcode + 7) / 8;
+  BRSMN_EXPECTS(code_lanes <= kMaxCodeLanes);
   for (std::size_t w = 0; w < wpl; ++w) {
     const std::size_t first = w * pk::kWordBits;
     const std::size_t lim = std::min(pk::kWordBits, n - first);
@@ -946,11 +1052,23 @@ void gather_lines(pkern::CompileWorkspace& ws, int bit) {
     const std::uint64_t occupied =
         ~(t0[w] & t1[w]) & (lim == pk::kWordBits ? ~std::uint64_t{0}
                                                  : pk::tail_mask(n));
-    std::fill_n(codes, lim, std::size_t{0});
-    for (std::size_t q = 0; q < kx.wcode; ++q) {
-      for (std::uint64_t x = code_planes[q * stride + w] & occupied; x != 0;
-           x &= x - 1) {
-        codes[std::countr_zero(x)] |= std::size_t{1} << q;
+    // Transpose 8 lines per step: lane L gathers code bits [8L, 8L + 8)
+    // of the group's lines, byte k of the lane belonging to line k.
+    for (std::size_t g = 0; g < lim; g += 8) {
+      if (((occupied >> g) & 0xffu) == 0) continue;
+      std::uint64_t lanes[kMaxCodeLanes] = {};
+      for (std::size_t q = 0; q < kx.wcode; ++q) {
+        lanes[q / 8] |= pkern::spread_byte_bits(
+                            (code_planes[q * stride + w] >> g) & 0xffu)
+                        << (q % 8);
+      }
+      for (std::size_t k = 0; k < 8 && g + k < lim; ++k) {
+        std::size_t code = 0;
+        for (std::size_t L = 0; L < code_lanes; ++L) {
+          code |= static_cast<std::size_t>((lanes[L] >> (8 * k)) & 0xffu)
+                  << (8 * L);
+        }
+        codes[g + k] = code;
       }
     }
     for (std::size_t b = 0; b < lim; ++b) {
@@ -1230,9 +1348,10 @@ void compile_level_unrolled(std::vector<Bsn>& level, std::size_t n, int k,
     scatter_span.end();
     scatter_perf.stop();
     scatter_timer.stop();
+    // A BSN root whose α count exceeds its ε count would be α-typed
+    // with a nonzero surplus.
     for (std::size_t bb = 0; bb < (n >> S); ++bb) {
-      const ScatterNodeValue root = scatter_node(ws, census, S, bb);
-      BRSMN_ENSURES_MSG(root.type == Tag::Eps || root.surplus == 0,
+      BRSMN_ENSURES_MSG(census.count_alpha(S, bb) <= census.count_eps(S, bb),
                         "Eq. (3) guarantees eps dominates at the BSN root");
     }
   });

@@ -57,10 +57,12 @@ struct ScatterBlockPlan {
 /// and whose output run must start at `s` < n_prime. Inline: both
 /// engines run it once per merging-network block, so the Lemma 2-5
 /// starts are masks, not divisions (s mod n'/2 = s & (n'/2 - 1)).
-inline ScatterBlockPlan scatter_block_plan(const ScatterNodeValue& c0,
-                                           const ScatterNodeValue& c1,
-                                           std::size_t n_prime,
-                                           std::size_t s) {
+/// constexpr: the packed compile's bottom-stage tables
+/// (core/block_tables.hpp) are generated from it at compile time.
+constexpr ScatterBlockPlan scatter_block_plan(const ScatterNodeValue& c0,
+                                              const ScatterNodeValue& c1,
+                                              std::size_t n_prime,
+                                              std::size_t s) {
   ScatterBlockPlan plan;
   if (c0.type == c1.type) {
     // ε/α-addition: exactly Lemma 1 over the shared dominant symbol.

@@ -35,7 +35,7 @@ int setting_to_int(SwitchSetting s);
 
 /// b-bar of Lemma 1: the opposite unicast setting (parallel <-> cross).
 /// Precondition: s is a unicast setting.
-inline SwitchSetting opposite_unicast(SwitchSetting s) {
+constexpr SwitchSetting opposite_unicast(SwitchSetting s) {
   BRSMN_EXPECTS(s == SwitchSetting::Parallel || s == SwitchSetting::Cross);
   return s == SwitchSetting::Parallel ? SwitchSetting::Cross
                                       : SwitchSetting::Parallel;

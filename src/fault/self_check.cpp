@@ -61,8 +61,17 @@ void self_check_level(const std::vector<LineValue>& lines, int level,
 void self_check_level(std::span<const LineRecord> lines, int level,
                       std::uint64_t route) {
   const std::size_t n = lines.size();
-  thread_local std::vector<std::uint64_t> ids;
-  ids.clear();
+  // A route hands out copy ids densely from 1 (at most n initial copies
+  // plus two per split, and a route splits fewer than n times), so one
+  // pass marks each live id in a bitmap over that bound and finds a
+  // duplicate on the way. The first repeat is only reported after every
+  // line passed its own checks, as those take precedence. An id beyond
+  // the bound only comes from a corrupted state: fall back to sorting.
+  const std::uint64_t bound = 4 * static_cast<std::uint64_t>(n) + 64;
+  thread_local std::vector<std::uint64_t> seen;
+  seen.assign(bound / 64 + 1, 0);
+  std::optional<std::uint64_t> dup;
+  bool beyond = false;
   for (std::size_t i = 0; i < n; ++i) {
     const LineRecord& r = lines[i];
     if (is_empty(r.exit)) {
@@ -90,30 +99,24 @@ void self_check_level(std::span<const LineRecord> lines, int level,
          << " was sent into a half holding none of its destinations";
       fail(n, route, level, std::nullopt, os.str());
     }
-    ids.push_back(r.copy_id);
-  }
-  // A route hands out copy ids densely from 1 (at most n initial copies
-  // plus two per split, and a route splits fewer than n times), so a
-  // bitmap over the id range finds a duplicate in one pass. Ids beyond
-  // that range only come from a corrupted state: fall back to sorting.
-  const std::uint64_t max_id =
-      ids.empty() ? 0 : *std::max_element(ids.begin(), ids.end());
-  std::optional<std::uint64_t> dup;
-  if (max_id <= 4 * static_cast<std::uint64_t>(n) + 64) {
-    thread_local std::vector<std::uint64_t> seen;
-    seen.assign(max_id / 64 + 1, 0);
-    for (const std::uint64_t id : ids) {
-      const std::uint64_t bit = std::uint64_t{1} << (id % 64);
-      if (seen[id / 64] & bit) {
-        dup = id;
-        break;
-      }
-      seen[id / 64] |= bit;
+    const std::uint64_t id = r.copy_id;
+    if (id > bound) {
+      beyond = true;
+      continue;
     }
-  } else {
+    const std::uint64_t bit = std::uint64_t{1} << (id % 64);
+    if ((seen[id / 64] & bit) != 0 && !dup.has_value()) dup = id;
+    seen[id / 64] |= bit;
+  }
+  if (beyond) {
+    thread_local std::vector<std::uint64_t> ids;
+    ids.clear();
+    for (const LineRecord& r : lines) {
+      if (!is_empty(r.exit)) ids.push_back(r.copy_id);
+    }
     std::sort(ids.begin(), ids.end());
     const auto it = std::adjacent_find(ids.begin(), ids.end());
-    if (it != ids.end()) dup = *it;
+    dup = it != ids.end() ? std::optional<std::uint64_t>(*it) : std::nullopt;
   }
   if (dup.has_value()) {
     std::ostringstream os;

@@ -58,7 +58,9 @@ void expect_results_eq(const RouteResult& a, const RouteResult& b) {
         << "level_inputs differ at level " << L;
   }
   ASSERT_EQ(a.explanation.has_value(), b.explanation.has_value());
-  if (a.explanation) EXPECT_EQ(*a.explanation, *b.explanation);
+  if (a.explanation) {
+    EXPECT_EQ(*a.explanation, *b.explanation);
+  }
 }
 
 RouteOptions full_options(RouteEngine engine, simd::Backend backend) {

@@ -16,11 +16,14 @@
 
 #include "api/parallel_router.hpp"
 #include "common/rng.hpp"
+#include "core/block_tables.hpp"
 #include "core/brsmn.hpp"
 #include "core/feedback.hpp"
 #include "core/level_kernel.hpp"
+#include "core/merge_lemmas.hpp"
 #include "core/multicast_assignment.hpp"
 #include "core/route_plan.hpp"
+#include "core/scatter.hpp"
 #include "obs/fabric_heatmap.hpp"
 
 namespace brsmn {
@@ -263,6 +266,190 @@ TEST(StageMaskDecode, InvertsSetMaskSwitchOnRandomSwitches) {
         ASSERT_EQ(decoded(mk, stage, n), want)
             << "n=" << n << " stage=" << stage << " step=" << step;
       }
+    }
+  }
+}
+
+// --- bottom-stage tables -----------------------------------------------------
+//
+// The packed sweeps settle scatter stages 1-2 of each 4-line block and
+// quasisort stages 1-3 of each 8-line block with one table lookup. Every
+// entry must equal a per-node evaluation of the same block: the lemma
+// plan of each node, its settings materialized one switch at a time, and
+// the masks those switches write through fill_masks — plus the broadcast
+// events the sweeps read back from the entry's masks.
+
+/// One switch-level view of a block: per stage, the settings of its
+/// switches in block-local order (switch g * d + t joins lines
+/// g * 2d + t and g * 2d + t + d).
+struct BlockReference {
+  std::vector<std::vector<SwitchSetting>> stages;  ///< stages[j-1]
+  std::uint8_t su[3] = {};
+  std::uint8_t sl[3] = {};
+
+  /// Write the settings through fill_masks, one switch at a time.
+  void derive_masks(std::size_t lines) {
+    for (std::size_t j = 1; j <= stages.size(); ++j) {
+      packed::StageMasks mk;
+      mk.resize(1);
+      const std::size_t d = std::size_t{1} << (j - 1);
+      for (std::size_t sw = 0; sw < lines / 2; ++sw) {
+        pkern::fill_masks(mk, static_cast<int>(j), sw / d, sw % d, 1,
+                          stages[j - 1][sw]);
+      }
+      su[j - 1] = static_cast<std::uint8_t>(mk.su[0]);
+      sl[j - 1] = static_cast<std::uint8_t>(mk.sl[0]);
+    }
+  }
+};
+
+using EventList = std::vector<std::pair<std::size_t, bool>>;
+
+/// The broadcast switches of a settings row, in line order.
+EventList reference_events(const std::vector<SwitchSetting>& row, std::size_t d) {
+  EventList out;
+  for (std::size_t sw = 0; sw < row.size(); ++sw) {
+    if (row[sw] == SwitchSetting::UpperBcast ||
+        row[sw] == SwitchSetting::LowerBcast) {
+      out.emplace_back((sw / d) * 2 * d + sw % d,
+                       row[sw] == SwitchSetting::UpperBcast);
+    }
+  }
+  return out;
+}
+
+/// The events the packed sweeps read back from one stage's mask fields.
+EventList read_back_events(std::uint8_t su, std::uint8_t sl, unsigned d,
+                           std::uint64_t upper) {
+  EventList out;
+  pkern::for_each_broadcast(su, sl, d, upper, [&](unsigned t, bool aup) {
+    out.emplace_back(t, aup);
+  });
+  return out;
+}
+
+/// Table 4's forward combine (the scalar engine's), over leaf values.
+ScatterNodeValue combine_values(const ScatterNodeValue& c0,
+                                const ScatterNodeValue& c1) {
+  if (c0.type == c1.type) return {c0.type, c0.surplus + c1.surplus};
+  if (c0.surplus >= c1.surplus) return {c0.type, c0.surplus - c1.surplus};
+  return {c1.type, c1.surplus - c0.surplus};
+}
+
+TEST(BlockTables, ScatterEntriesMatchPerNodeReference) {
+  std::size_t checked = 0;
+  for (std::size_t s = 0; s < 4; ++s) {
+    for (unsigned a = 0; a < 16; ++a) {
+      for (unsigned e = 0; e < 16; ++e) {
+        const pkern::ScatterBlockEntry& entry =
+            pkern::kScatterBlocks[pkern::scatter_index(s, a, e)];
+        SCOPED_TRACE("s=" + std::to_string(s) + " alpha=" + std::to_string(a) +
+                     " eps=" + std::to_string(e));
+        if ((a & e) != 0) {  // no line is both α and ε: unused, kept zero
+          EXPECT_EQ(entry, pkern::ScatterBlockEntry{});
+          continue;
+        }
+        ScatterNodeValue leaf[4];
+        for (unsigned i = 0; i < 4; ++i) {
+          const bool is_a = (a >> i) & 1u;
+          const bool is_e = (e >> i) & 1u;
+          leaf[i] = {is_a ? Tag::Alpha : Tag::Eps,
+                     (is_a || is_e) ? std::size_t{1} : 0};
+        }
+        const ScatterNodeValue mid[2] = {combine_values(leaf[0], leaf[1]),
+                                         combine_values(leaf[2], leaf[3])};
+        const ScatterNodeValue root = combine_values(mid[0], mid[1]);
+        const ScatterBlockPlan top = scatter_block_plan(mid[0], mid[1], 4, s);
+        BlockReference ref;
+        ref.stages.resize(2);
+        ref.stages[1] = scatter_block_settings(top, 4, s);
+        const std::size_t starts[2] = {top.s0, top.s1};
+        std::uint8_t elim =
+            top.rule == RouteRule::ScatterElimination ? 1 : 0;
+        for (unsigned t = 0; t < 2; ++t) {
+          const ScatterBlockPlan low =
+              scatter_block_plan(leaf[2 * t], leaf[2 * t + 1], 2, starts[t]);
+          const auto row = scatter_block_settings(low, 2, starts[t]);
+          ref.stages[0].push_back(row.at(0));
+          if (low.rule == RouteRule::ScatterElimination) elim |= 2u << t;
+        }
+        ref.derive_masks(4);
+        EXPECT_EQ(entry.su[0], ref.su[0]);
+        EXPECT_EQ(entry.sl[0], ref.sl[0]);
+        EXPECT_EQ(entry.su[1], ref.su[1]);
+        EXPECT_EQ(entry.sl[1], ref.sl[1]);
+        EXPECT_EQ(entry.elim, elim);
+        EXPECT_EQ(entry.alpha, root.type == Tag::Alpha ? 1 : 0);
+        EXPECT_EQ(read_back_events(entry.su[1], entry.sl[1], 2, 0x3),
+                  reference_events(ref.stages[1], 2));
+        EXPECT_EQ(read_back_events(entry.su[0], entry.sl[0], 1, 0x5),
+                  reference_events(ref.stages[0], 1));
+        ++checked;
+      }
+    }
+  }
+  EXPECT_EQ(checked, 4u * 81u);  // 3^4 valid (α, ε) line patterns per s
+}
+
+TEST(BlockTables, QuasisortEntriesMatchPerNodeReference) {
+  for (std::size_t s = 0; s < 8; ++s) {
+    for (unsigned ones = 0; ones < 256; ++ones) {
+      const pkern::QuasisortBlockEntry& entry =
+          pkern::kQuasisortBlocks[pkern::quasisort_index(s, ones)];
+      SCOPED_TRACE("s=" + std::to_string(s) + " ones=" + std::to_string(ones));
+      BlockReference ref;
+      ref.stages.resize(3);
+      std::vector<std::size_t> start = {s};
+      for (int j = 3; j >= 1; --j) {
+        const std::size_t half = std::size_t{1} << (j - 1);
+        std::vector<std::size_t> next;
+        for (std::size_t b = 0; b < (std::size_t{8} >> j); ++b) {
+          std::size_t l[2] = {0, 0};
+          for (std::size_t i = 0; i < 2 * half; ++i) {
+            l[i / half] += (ones >> (2 * half * b + i)) & 1u;
+          }
+          const lemmas::Lemma1Geometry g =
+              lemmas::lemma1_geometry(2 * half, start[b], l[0], l[1]);
+          next.push_back(g.s0);
+          next.push_back(g.s1);
+          for (std::size_t t = 0; t < half; ++t) {
+            ref.stages[static_cast<std::size_t>(j - 1)].push_back(
+                t < g.s1 ? g.run : opposite_unicast(g.run));
+          }
+        }
+        start = next;
+      }
+      ref.derive_masks(8);
+      for (int j = 0; j < 3; ++j) {
+        EXPECT_EQ(entry.su[j], ref.su[j]) << "stage " << j + 1;
+        EXPECT_EQ(entry.sl[j], ref.sl[j]) << "stage " << j + 1;
+      }
+      // The quasisort only ever sets unicast switches.
+      EXPECT_TRUE(read_back_events(entry.su[0], entry.sl[0], 1, 0x55).empty());
+      EXPECT_TRUE(read_back_events(entry.su[1], entry.sl[1], 2, 0x33).empty());
+      EXPECT_TRUE(read_back_events(entry.su[2], entry.sl[2], 4, 0x0f).empty());
+    }
+  }
+}
+
+TEST(BlockTables, ExplanationsMatchScalarOnEveryTableShape) {
+  // n = 4: every assignment (each output idle or fed by one of the four
+  // inputs) — a single S = 2 level, whose scatter takes the 4-line table
+  // at s = 0 and whose quasisort takes the 4-line slice at s = 2.
+  for (std::size_t code = 0; code < 625; ++code) {
+    MulticastAssignment a(4);
+    std::size_t rest = code;
+    for (std::size_t out = 0; out < 4; ++out, rest /= 5) {
+      if (rest % 5 != 0) a.connect(rest % 5 - 1, out);
+    }
+    check_assignment(4, a);
+  }
+  // n = 8..64: S = 3 levels (the 8-line quasisort table at s = 4) and
+  // deeper ones, whose table starts come from the per-node sweep above.
+  Rng rng(test_seed(9300));
+  for (std::size_t n = 8; n <= 64; n *= 2) {
+    for (const double density : {0.3, 0.7, 1.0}) {
+      for (int t = 0; t < 6; ++t) check_assignment(n, random_multicast(n, density, rng));
     }
   }
 }

@@ -198,7 +198,6 @@ int main(int argc, char** argv) {
   api::ClusterConfig config;
   config.shards = shards;
   config.workers_per_shard = workers;
-  config.engine = RouteEngine::Packed;
   config.retry.jitter = 0.2;
   config.seed = 2026;
   config.verify_delivery = true;

@@ -179,7 +179,6 @@ Cluster::Cluster(std::size_t n, const ClusterConfig& config)
     }
     for (std::size_t w = 0; w < config_.workers_per_shard; ++w) {
       ResilientOptions ro;
-      ro.engine = config_.engine;
       ro.retry = config_.retry;
       // Every worker gets its own jitter stream, derived from the
       // cluster seed (and the user's jitter_seed, if set) so retries

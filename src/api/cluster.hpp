@@ -118,8 +118,6 @@ struct ClusterConfig {
   std::size_t workers_per_shard = 1;
   /// Per-shard ingress queue bound; submit() blocks when full.
   std::size_t queue_capacity = 64;
-  /// Primary datapath engine for every shard's routers.
-  RouteEngine engine = RouteEngine::Scalar;
   /// Retry/fallback policy per router. jitter_seed is re-derived per
   /// worker from `seed` (mixed with the user's jitter_seed), so workers
   /// never share a jitter stream.

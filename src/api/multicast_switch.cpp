@@ -46,6 +46,7 @@ std::vector<Delivery> MulticastSwitch::route_epoch() {
   std::vector<Delivery> deliveries;
   if (pending_ > 0) {
     RouteOptions options;
+    options.engine = RouteEngine::Packed;
     options.metrics = metrics_;
     const RouteResult result = engine_ == Engine::kUnrolled
                                    ? unrolled_->route(assignment_, options)

@@ -34,8 +34,6 @@ void ParallelRouter::set_metrics(obs::MetricRegistry* metrics) {
 
 void ParallelRouter::set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
-void ParallelRouter::set_engine(RouteEngine engine) { engine_ = engine; }
-
 void ParallelRouter::set_faults(fault::FaultInjector* faults) {
   faults_ = faults;
 }
@@ -48,7 +46,7 @@ RouteOptions ParallelRouter::worker_options() const {
   RouteOptions options;
   options.metrics = metrics_;
   options.tracer = tracer_;
-  options.engine = engine_;
+  options.engine = RouteEngine::Packed;
   options.self_check = self_check_;
   options.faults = faults_;
   options.plan_cache = plan_cache_;

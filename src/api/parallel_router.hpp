@@ -6,10 +6,13 @@
 // parallel. ParallelRouter keeps one Brsmn engine per worker thread,
 // alive across route_batch calls (building a Brsmn allocates every level
 // BSN, so rebuilding per batch would dominate small batches), and shards
-// each batch over them with an atomic work queue. The slot discipline,
-// fan-out loop and failure aggregation live in api/engine_pool.hpp — the
-// layer the sharded cluster (api/cluster.hpp) composes as well; this
-// class adds batch deduplication and the parallel.* instrumentation.
+// each batch over them with an atomic work queue. Workers route with the
+// packed engine, so the worker-level parallelism of this class composes
+// with the word-level parallelism of core/packed_kernel.hpp.
+// The slot discipline, fan-out loop and failure aggregation live in
+// api/engine_pool.hpp — the layer the sharded cluster (api/cluster.hpp)
+// composes as well; this class adds batch deduplication and the
+// parallel.* instrumentation.
 #pragma once
 
 #include <cstddef>
@@ -53,13 +56,6 @@ class ParallelRouter {
   /// it to each engine's route() for phase timings. Pass nullptr to
   /// detach. Applies to subsequent route_batch calls.
   void set_metrics(obs::MetricRegistry* metrics);
-
-  /// Select the datapath engine the workers route with (default Scalar).
-  /// Packed composes the worker-level parallelism of this class with the
-  /// word-level parallelism of core/packed_kernel.hpp. Applies to
-  /// subsequent route_batch calls.
-  void set_engine(RouteEngine engine);
-  RouteEngine engine() const noexcept { return engine_; }
 
   /// Attach an event tracer: route_batch spans the dispatch on the caller
   /// thread and each worker's slice on its own thread — every worker is
@@ -120,7 +116,6 @@ class ParallelRouter {
   EnginePool<Brsmn> pool_;
   obs::MetricRegistry* metrics_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
-  RouteEngine engine_ = RouteEngine::Scalar;
   fault::FaultInjector* faults_ = nullptr;
   bool self_check_ = true;
   PlanCache* plan_cache_ = nullptr;

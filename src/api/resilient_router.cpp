@@ -63,18 +63,8 @@ namespace {
 
 /// The fallback ladder for `options`, primary path first.
 std::vector<RoutePath> build_ladder(const ResilientOptions& options) {
-  const RetryPolicy& retry = options.retry;
-  std::vector<RoutePath> paths;
-  paths.push_back({options.engine, false});
-  if (retry.fallback_engine && options.engine == RouteEngine::Packed) {
-    paths.push_back({RouteEngine::Scalar, false});
-  }
-  if (retry.fallback_implementation) {
-    paths.push_back({options.engine, true});
-    if (retry.fallback_engine && options.engine == RouteEngine::Packed) {
-      paths.push_back({RouteEngine::Scalar, true});
-    }
-  }
+  std::vector<RoutePath> paths{{false}};
+  if (options.retry.fallback_implementation) paths.push_back({true});
   return paths;
 }
 
@@ -115,10 +105,9 @@ void ResilientRouter::bump(const char* counter_name, std::uint64_t& local) {
   }
 }
 
-RouteOptions ResilientRouter::path_options(const RoutePath& path,
-                                           bool explain) const {
+RouteOptions ResilientRouter::attempt_options(bool explain) const {
   RouteOptions ro;
-  ro.engine = path.engine;
+  ro.engine = RouteEngine::Packed;
   ro.self_check = options_.self_check;
   ro.faults = options_.faults;
   ro.explain = explain;
@@ -131,7 +120,7 @@ RouteOptions ResilientRouter::path_options(const RoutePath& path,
 
 RouteResult ResilientRouter::route_once(const MulticastAssignment& assignment,
                                         const RoutePath& path, bool explain) {
-  const RouteOptions ro = path_options(path, explain);
+  const RouteOptions ro = attempt_options(explain);
   if (!path.feedback) return unrolled_.route(assignment, ro);
   if (!feedback_) feedback_ = std::make_unique<FeedbackBrsmn>(n_);
   return feedback_->route(assignment, ro);
@@ -220,7 +209,7 @@ RequestOutcome ResilientRouter::route_group(GroupId group,
                     "group manager width does not match the network");
   obs::TraceSpan span(options_.tracer, "resilient.route_group");
   return run_ladder([&](const RoutePath& path, bool explain) {
-    const RouteOptions ro = path_options(path, explain);
+    const RouteOptions ro = attempt_options(explain);
     if (!path.feedback) {
       return std::move(groups.route(group, unrolled_, ro).result);
     }
@@ -240,7 +229,6 @@ std::vector<RequestOutcome> ResilientRouter::route_batch(
     batch_->set_metrics(options_.metrics);
     batch_->set_tracer(options_.tracer);
   }
-  batch_->set_engine(options_.engine);
   batch_->set_self_check(options_.self_check);
   batch_->set_faults(options_.faults);
   batch_->set_plan_cache(options_.plan_cache);
@@ -251,7 +239,6 @@ std::vector<RequestOutcome> ResilientRouter::route_batch(
       outcomes[i].outcome = RouteOutcome::Delivered;
       outcomes[i].result = std::move(results[i]);
       outcomes[i].attempts = 1;
-      outcomes[i].path = RoutePath{options_.engine, false};
     }
     return outcomes;
   } catch (const ContractViolation&) {

@@ -4,18 +4,22 @@
 // the online self-check (fault/self_check.hpp) they *detect* a corrupted
 // route but still fail it. ResilientRouter turns detection into
 // recovery: a failed route is retried with bounded exponential backoff,
-// then walked down a fallback ladder — Packed -> Scalar engine, unrolled
-// -> feedback implementation — and only reported Failed when every path
-// is exhausted. The caller gets a typed per-request outcome instead of
-// an exception: Delivered (primary path), DeliveredDegraded (a fallback
+// then walked down a fallback ladder — unrolled -> feedback
+// implementation — and only reported Failed when every path is
+// exhausted. The caller gets a typed per-request outcome instead of an
+// exception: Delivered (primary path), DeliveredDegraded (the fallback
 // path carried it), or Failed (with the last FaultReport attached).
 //
+// Every attempt routes through the packed engine. The scalar engine
+// configures the same fabric bit-identically, faults included, so a
+// fallback onto it would fail exactly as the packed attempt did; it stays
+// in core/ as the paper-faithful reference and the differential oracle.
+//
 // Why the ladder is a genuine recovery path: a transient fault clears on
-// retry; an engine-scoped fault (model of a defect in one datapath's
-// silicon) clears on the engine fallback; an implementation-scoped fault
-// (defect in one fabric) clears on the unrolled -> feedback fallback,
-// which routes over physically different switches (one reused n x n
-// fabric instead of log n levels of BSNs).
+// retry; an implementation-scoped fault (defect in one fabric) clears on
+// the unrolled -> feedback fallback, which routes over physically
+// different switches (one reused n x n fabric instead of log n levels of
+// BSNs).
 #pragma once
 
 #include <atomic>
@@ -53,8 +57,8 @@ class PlanCache;
 enum class RouteOutcome : std::uint8_t {
   /// Routed on the primary path (possibly after retries on that path).
   Delivered,
-  /// Routed correctly, but only after falling back to a non-primary
-  /// engine or implementation — service continues in degraded mode.
+  /// Routed correctly, but only after falling back to the feedback
+  /// implementation — service continues in degraded mode.
   DeliveredDegraded,
   /// Every configured path exhausted its attempts; `report` names the
   /// last detection.
@@ -63,14 +67,12 @@ enum class RouteOutcome : std::uint8_t {
 
 std::string_view outcome_name(RouteOutcome outcome);
 
-/// Bounded-retry knobs. Attempts are per *path* (a path = engine x
-/// implementation pair in the fallback ladder), so the worst case is
+/// Bounded-retry knobs. Attempts are per *path* (a path = one
+/// implementation in the fallback ladder), so the worst case is
 /// max_attempts_per_path x ladder length routes.
 struct RetryPolicy {
   std::size_t max_attempts_per_path = 2;
-  /// Fall back Packed -> Scalar after the primary engine's attempts.
-  bool fallback_engine = true;
-  /// Fall back unrolled -> feedback after the engine fallback.
+  /// Fall back unrolled -> feedback after the primary path's attempts.
   bool fallback_implementation = true;
   /// Backoff before retry #k (k >= 1, counted across the whole ladder):
   /// min(initial_backoff * backoff_multiplier^(k-1), max_backoff).
@@ -107,8 +109,6 @@ std::chrono::microseconds backoff_for_attempt(const RetryPolicy& policy,
                                               std::uint64_t salt = 0);
 
 struct ResilientOptions {
-  /// Primary datapath engine; the ladder may add Scalar as fallback.
-  RouteEngine engine = RouteEngine::Scalar;
   RetryPolicy retry{};
   /// Online self-check for every attempt (default on; a fault injector
   /// implies it regardless).
@@ -132,9 +132,8 @@ struct ResilientOptions {
   obs::FabricHeatmap* heatmap = nullptr;
 };
 
-/// One rung of the fallback ladder.
+/// One rung of the fallback ladder; every rung routes the packed engine.
 struct RoutePath {
-  RouteEngine engine = RouteEngine::Scalar;
   bool feedback = false;  ///< false = unrolled Brsmn, true = FeedbackBrsmn
 
   friend bool operator==(const RoutePath&, const RoutePath&) = default;
@@ -191,8 +190,9 @@ class ResilientRouter {
   std::uint64_t degraded_deliveries() const noexcept { return degraded_; }
   std::uint64_t faults_gaveup() const noexcept { return gaveup_; }
 
-  /// The fallback ladder this router walks, primary path first (fixed by
-  /// the options at construction).
+  /// The fallback ladder this router walks, primary path first:
+  /// {unrolled, feedback}, or {unrolled} without
+  /// RetryPolicy::fallback_implementation.
   const std::vector<RoutePath>& ladder() const noexcept { return ladder_; }
 
   /// Shutdown-aware backoff: wake any ladder currently sleeping in a
@@ -219,8 +219,8 @@ class ResilientRouter {
   RequestOutcome route_ladder(const MulticastAssignment& assignment);
   RouteResult route_once(const MulticastAssignment& assignment,
                          const RoutePath& path, bool explain);
-  /// The RouteOptions every attempt on `path` routes with.
-  RouteOptions path_options(const RoutePath& path, bool explain) const;
+  /// The RouteOptions every attempt routes with, on either rung.
+  RouteOptions attempt_options(bool explain) const;
   void bump(const char* counter_name, std::uint64_t& local);
 
   std::size_t n_;

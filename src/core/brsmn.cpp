@@ -10,10 +10,7 @@
 #include "fault/locate.hpp"
 #include "fault/self_check.hpp"
 #include "obs/fabric_heatmap.hpp"
-#include "obs/perf_counters.hpp"
-#include "obs/phase_timer.hpp"
 #include "obs/route_probe.hpp"
-#include "obs/tracer.hpp"
 
 namespace brsmn {
 
@@ -176,23 +173,11 @@ RouteResult Brsmn::route(const MulticastAssignment& assignment,
   if (options.engine == RouteEngine::Packed) {
     return packed_route(*this, assignment, options);
   }
-  obs::RouteProbe probe;
-  obs::FabricHeatmap* heatmap = nullptr;
-  if constexpr (obs::kEnabled) {
-    if (options.metrics != nullptr) {
-      probe = obs::RouteProbe::attach(*options.metrics, options.metrics_prefix);
-    }
-    probe.tracer = options.tracer;
-    probe.attach_profiler(options.profiler);
-    heatmap = options.heatmap;
-  }
-  const obs::RouteProbe* probe_ptr =
-      probe.enabled() || probe.tracing() || probe.profiler != nullptr
-          ? &probe
-          : nullptr;
-  obs::PhaseTimer total_timer(probe.total);
-  obs::PerfScope total_perf(probe.profiler, probe.perf_total);
-  obs::TraceSpan route_span(probe.tracer, "brsmn.route");
+  obs::RouteProbe probe = obs::RouteProbe::attach(
+      options.metrics, options.metrics_prefix, options.tracer,
+      options.profiler);
+  obs::FabricHeatmap* heatmap = obs::kEnabled ? options.heatmap : nullptr;
+  obs::PhaseScope total_scope(probe, obs::Phase::Total, "brsmn.route");
 
   RouteResult result;
   result.delivered.assign(n_, std::nullopt);
@@ -255,7 +240,7 @@ RouteResult Brsmn::route(const MulticastAssignment& assignment,
         seam.line_base = b * bsn_size;
         const BsnHeat heat{heatmap, k, b * bsn_size};
         Bsn::Result r = level[b].route(
-            std::move(slice), next_copy_id, &result.stats, probe_ptr,
+            std::move(slice), next_copy_id, &result.stats, &probe,
             options.explain ? &bsn_explain : nullptr,
             checking ? &seam : nullptr, heatmap != nullptr ? &heat : nullptr);
         std::move(r.outputs.begin(), r.outputs.end(),
@@ -282,9 +267,8 @@ RouteResult Brsmn::route(const MulticastAssignment& assignment,
                             lines, options.fault_activity);
     const std::size_t splits_before_final = result.stats.broadcast_ops;
     {
-      obs::PhaseTimer final_timer(probe.datapath);
-      obs::PerfScope final_perf(probe.profiler, probe.perf_datapath);
-      obs::TraceSpan final_span(probe.tracer, "level.final");
+      const obs::PhaseScope final_scope(probe, obs::Phase::Datapath,
+                                        "level.final");
       ExplainSink final_sink;
       if (options.explain) {
         result.explanation->passes.push_back(
@@ -311,8 +295,7 @@ RouteResult Brsmn::route(const MulticastAssignment& assignment,
     }
     throw;
   }
-  total_perf.stop();
-  total_timer.stop();
+  total_scope.end();
   if constexpr (obs::kEnabled) {
     if (probe.enabled()) probe.record_stats(result.stats);
   }

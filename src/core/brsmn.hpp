@@ -91,7 +91,8 @@ struct RouteOptions {
   /// the tracer's flight-recorder rings (see obs/tracer.hpp). Null keeps
   /// the hot path span-free; BRSMN_OBS_DISABLED builds ignore it.
   obs::Tracer* tracer = nullptr;
-  /// Datapath implementation; Scalar is the reference engine.
+  /// Datapath implementation; Scalar is the reference engine. The
+  /// service layer (api/, traffic/) always routes Packed.
   RouteEngine engine = RouteEngine::Scalar;
   /// SIMD backend for the packed engine's word loops (cold routes,
   /// replays, and patches alike). Auto resolves BRSMN_FORCE_BACKEND, then
@@ -139,7 +140,7 @@ struct RouteOptions {
   /// Hardware perf-counter phase profiler (obs/perf_counters.hpp): when
   /// set (and available), the engines accumulate cycles / instructions /
   /// cache-miss / branch-miss deltas per routing phase alongside the
-  /// PhaseTimer histograms. Single-owner like the heatmap; ignored under
+  /// phase histograms. Single-owner like the heatmap; ignored under
   /// BRSMN_OBS_DISABLED.
   obs::PhaseProfiler* profiler = nullptr;
 };

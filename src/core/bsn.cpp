@@ -6,12 +6,19 @@
 #include "fault/fault_injector.hpp"
 #include "fault/fault_report.hpp"
 #include "obs/fabric_heatmap.hpp"
-#include "obs/perf_counters.hpp"
-#include "obs/phase_timer.hpp"
 #include "obs/route_probe.hpp"
-#include "obs/tracer.hpp"
 
 namespace brsmn {
+
+namespace {
+
+/// The probe of a route observed by nothing (Bsn::route without one).
+const obs::RouteProbe& no_probe() {
+  static const obs::RouteProbe probe;
+  return probe;
+}
+
+}  // namespace
 
 TagCounts count_tags(const std::vector<LineValue>& lines) {
   TagCounts c;
@@ -71,8 +78,7 @@ Bsn::Result Bsn::route_impl(std::vector<LineValue> inputs,
                             fault::DetectPoint* progress) {
   const std::size_t n = size();
   BRSMN_EXPECTS(inputs.size() == n);
-  obs::Tracer* tracer = probe != nullptr ? probe->tracer : nullptr;
-  obs::PhaseProfiler* perf = probe != nullptr ? probe->profiler : nullptr;
+  const obs::RouteProbe& obs_probe = probe != nullptr ? *probe : no_probe();
   obs::FabricHeatmap* heatmap =
       heat != nullptr && heat->map != nullptr ? heat->map : nullptr;
 
@@ -96,15 +102,12 @@ Bsn::Result Bsn::route_impl(std::vector<LineValue> inputs,
   if (explain != nullptr) explain->scatter.record_input_tags(tags);
 
   // Pass 1: scatter — eliminate every α (paper Theorem 2).
-  obs::PhaseTimer scatter_timer(probe ? probe->scatter : nullptr);
-  obs::PerfScope scatter_perf(perf, probe ? probe->perf_scatter : 0);
-  obs::TraceSpan scatter_span(tracer, "bsn.scatter.config");
+  obs::PhaseScope scatter_scope(obs_probe, obs::Phase::Scatter,
+                                "bsn.scatter.config");
   const ScatterNodeValue root =
       configure_scatter(scatter_, tags, 0, stats,
                         explain != nullptr ? &explain->scatter : nullptr);
-  scatter_span.end();
-  scatter_perf.stop();
-  scatter_timer.stop();
+  scatter_scope.end();
   if (seam != nullptr) seam->apply_local(scatter_, PassKind::Scatter);
   if (progress != nullptr) progress->fabric_settled = true;
   // Eq. (3): n_alpha <= n_eps, so eps dominates at the root (when the two
@@ -113,9 +116,8 @@ Bsn::Result Bsn::route_impl(std::vector<LineValue> inputs,
                     "Eq. (3) guarantees eps dominates at the BSN root");
   ScatterExec exec{next_copy_id, stats};
   Result result;
-  obs::PhaseTimer scatter_datapath(probe ? probe->datapath : nullptr);
-  obs::PerfScope scatter_data_perf(perf, probe ? probe->perf_datapath : 0);
-  obs::TraceSpan scatter_data_span(tracer, "bsn.scatter.datapath");
+  obs::PhaseScope scatter_data_scope(obs_probe, obs::Phase::Datapath,
+                                     "bsn.scatter.datapath");
   result.scattered = scatter_.propagate(
       std::move(inputs),
       [&exec](const SwitchContext& ctx, SwitchSetting s, LineValue a,
@@ -128,9 +130,7 @@ Bsn::Result Bsn::route_impl(std::vector<LineValue> inputs,
                                 heat->line_offset);
         }
       });
-  scatter_data_span.end();
-  scatter_data_perf.stop();
-  scatter_datapath.stop();
+  scatter_data_scope.end();
   next_copy_id = exec.next_copy_id;
 
   const TagCounts mid = count_tags(result.scattered);
@@ -147,29 +147,22 @@ Bsn::Result Bsn::route_impl(std::vector<LineValue> inputs,
   std::vector<Tag> scattered_tags(n);
   for (std::size_t i = 0; i < n; ++i) scattered_tags[i] = result.scattered[i].tag;
   if (explain != nullptr) explain->quasisort.record_input_tags(scattered_tags);
-  obs::PhaseTimer divide_timer(probe ? probe->eps_divide : nullptr);
-  obs::PerfScope divide_perf(perf, probe ? probe->perf_eps_divide : 0);
-  obs::TraceSpan divide_span(tracer, "bsn.eps_divide");
+  obs::PhaseScope divide_scope(obs_probe, obs::Phase::EpsDivide,
+                               "bsn.eps_divide");
   const std::vector<Tag> divided = divide_eps(scattered_tags, stats);
-  divide_span.end();
-  divide_perf.stop();
-  divide_timer.stop();
+  divide_scope.end();
   if (explain != nullptr) explain->quasisort.record_divided_tags(divided);
   std::vector<LineValue> sorted_in = result.scattered;
   for (std::size_t i = 0; i < n; ++i) sorted_in[i].tag = divided[i];
-  obs::PhaseTimer quasisort_timer(probe ? probe->quasisort : nullptr);
-  obs::PerfScope quasisort_perf(perf, probe ? probe->perf_quasisort : 0);
-  obs::TraceSpan quasisort_span(tracer, "bsn.quasisort.config");
+  obs::PhaseScope quasisort_scope(obs_probe, obs::Phase::Quasisort,
+                                  "bsn.quasisort.config");
   configure_quasisort(quasisort_, divided, stats,
                       explain != nullptr ? &explain->quasisort : nullptr);
-  quasisort_span.end();
-  quasisort_perf.stop();
-  quasisort_timer.stop();
+  quasisort_scope.end();
   if (seam != nullptr) seam->apply_local(quasisort_, PassKind::Quasisort);
   if (progress != nullptr) progress->fabric_settled = true;
-  obs::PhaseTimer sort_datapath(probe ? probe->datapath : nullptr);
-  obs::PerfScope sort_data_perf(perf, probe ? probe->perf_datapath : 0);
-  obs::TraceSpan sort_data_span(tracer, "bsn.quasisort.datapath");
+  obs::PhaseScope sort_data_scope(obs_probe, obs::Phase::Datapath,
+                                  "bsn.quasisort.datapath");
   result.outputs = quasisort_.propagate(
       std::move(sorted_in),
       [stats](const SwitchContext& ctx, SwitchSetting s, LineValue a,
@@ -183,9 +176,7 @@ Bsn::Result Bsn::route_impl(std::vector<LineValue> inputs,
                                 heat->line_offset);
         }
       });
-  sort_data_span.end();
-  sort_data_perf.stop();
-  sort_datapath.stop();
+  sort_data_scope.end();
 
   // Postcondition: zeros (real or dummy) occupy the upper half, ones the
   // lower half.

@@ -11,10 +11,7 @@
 #include "fault/locate.hpp"
 #include "fault/self_check.hpp"
 #include "obs/fabric_heatmap.hpp"
-#include "obs/perf_counters.hpp"
-#include "obs/phase_timer.hpp"
 #include "obs/route_probe.hpp"
-#include "obs/tracer.hpp"
 
 namespace brsmn {
 
@@ -36,19 +33,11 @@ RouteResult FeedbackBrsmn::route(const MulticastAssignment& assignment,
     return packed_route(*this, assignment, options);
   }
 
-  obs::RouteProbe probe;
-  obs::FabricHeatmap* heatmap = nullptr;
-  if constexpr (obs::kEnabled) {
-    if (options.metrics != nullptr) {
-      probe = obs::RouteProbe::attach(*options.metrics, options.metrics_prefix);
-    }
-    probe.tracer = options.tracer;
-    probe.attach_profiler(options.profiler);
-    heatmap = options.heatmap;
-  }
-  obs::PhaseTimer total_timer(probe.total);
-  obs::PerfScope total_perf(probe.profiler, probe.perf_total);
-  obs::TraceSpan route_span(probe.tracer, "feedback.route");
+  obs::RouteProbe probe = obs::RouteProbe::attach(
+      options.metrics, options.metrics_prefix, options.tracer,
+      options.profiler);
+  obs::FabricHeatmap* heatmap = obs::kEnabled ? options.heatmap : nullptr;
+  obs::PhaseScope total_scope(probe, obs::Phase::Total, "feedback.route");
 
   RouteResult result;
   result.delivered.assign(n, std::nullopt);
@@ -109,9 +98,8 @@ RouteResult FeedbackBrsmn::route(const MulticastAssignment& assignment,
         fabric_.reset();
         for (std::size_t i = 0; i < n; ++i) tags[i] = lines[i].tag;
         scatter_sink.record_input_tags(tags);
-        obs::PhaseTimer scatter_timer(probe.scatter);
-        obs::PerfScope scatter_perf(probe.profiler, probe.perf_scatter);
-        obs::TraceSpan scatter_span(probe.tracer, "fb.scatter.config");
+        const obs::PhaseScope scatter_scope(probe, obs::Phase::Scatter,
+                                            "fb.scatter.config");
         for (std::size_t b = 0; b < blocks; ++b) {
           const std::span<const Tag> slice(tags.data() + b * bsn_size,
                                            bsn_size);
@@ -122,9 +110,8 @@ RouteResult FeedbackBrsmn::route(const MulticastAssignment& assignment,
       seam.apply_local(fabric_, PassKind::Scatter);
       fault::guard(checking, n, route_ord, k, PassKind::Scatter, true, [&] {
         ScatterExec exec{next_copy_id, &result.stats};
-        obs::PhaseTimer scatter_datapath(probe.datapath);
-        obs::PerfScope scatter_data_perf(probe.profiler, probe.perf_datapath);
-        obs::TraceSpan scatter_data_span(probe.tracer, "fb.scatter.datapath");
+        const obs::PhaseScope scatter_data_scope(probe, obs::Phase::Datapath,
+                                                 "fb.scatter.datapath");
         lines = fabric_.propagate(
             std::move(lines),
             [&exec](const SwitchContext& ctx, SwitchSetting s, LineValue a,
@@ -156,19 +143,15 @@ RouteResult FeedbackBrsmn::route(const MulticastAssignment& assignment,
         for (std::size_t b = 0; b < blocks; ++b) {
           const std::span<const Tag> slice(tags.data() + b * bsn_size,
                                            bsn_size);
-          obs::PhaseTimer divide_timer(probe.eps_divide);
-          obs::PerfScope divide_perf(probe.profiler, probe.perf_eps_divide);
-          obs::TraceSpan divide_span(probe.tracer, "fb.eps_divide");
+          obs::PhaseScope divide_scope(probe, obs::Phase::EpsDivide,
+                                       "fb.eps_divide");
           const std::vector<Tag> divided = divide_eps(slice, &result.stats);
-          divide_span.end();
-          divide_perf.stop();
-          divide_timer.stop();
+          divide_scope.end();
           quasi_sink.record_divided_tags(divided, b * bsn_size);
           for (std::size_t i = 0; i < bsn_size; ++i) {
             lines[b * bsn_size + i].tag = divided[i];
           }
-          obs::PhaseTimer quasisort_timer(probe.quasisort);
-          obs::PerfScope quasisort_perf(probe.profiler, probe.perf_quasisort);
+          const obs::PhaseScope quasisort_scope(probe, obs::Phase::Quasisort);
           configure_quasisort(fabric_, top_stage, b, divided, &result.stats,
                               options.explain ? &quasi_sink : nullptr);
         }
@@ -176,9 +159,8 @@ RouteResult FeedbackBrsmn::route(const MulticastAssignment& assignment,
       seam.apply_local(fabric_, PassKind::Quasisort);
       fault::guard(checking, n, route_ord, k, PassKind::Quasisort, true, [&] {
         RoutingStats* stats = &result.stats;
-        obs::PhaseTimer sort_datapath(probe.datapath);
-        obs::PerfScope sort_data_perf(probe.profiler, probe.perf_datapath);
-        obs::TraceSpan sort_data_span(probe.tracer, "fb.quasisort.datapath");
+        const obs::PhaseScope sort_data_scope(probe, obs::Phase::Datapath,
+                                              "fb.quasisort.datapath");
         lines = fabric_.propagate(
             std::move(lines),
             [stats](const SwitchContext& ctx, SwitchSetting s, LineValue a,
@@ -216,9 +198,8 @@ RouteResult FeedbackBrsmn::route(const MulticastAssignment& assignment,
                             lines, options.fault_activity);
     const std::size_t splits_before_final = result.stats.broadcast_ops;
     {
-      obs::PhaseTimer final_timer(probe.datapath);
-      obs::PerfScope final_perf(probe.profiler, probe.perf_datapath);
-      obs::TraceSpan final_span(probe.tracer, "level.final");
+      const obs::PhaseScope final_scope(probe, obs::Phase::Datapath,
+                                        "level.final");
       ExplainSink final_sink;
       if (options.explain) {
         result.explanation->passes.push_back(
@@ -246,8 +227,7 @@ RouteResult FeedbackBrsmn::route(const MulticastAssignment& assignment,
     }
     throw;
   }
-  total_perf.stop();
-  total_timer.stop();
+  total_scope.end();
   if constexpr (obs::kEnabled) {
     if (probe.enabled()) probe.record_stats(result.stats);
   }

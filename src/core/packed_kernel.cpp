@@ -22,10 +22,7 @@
 #include "fault/locate.hpp"
 #include "fault/self_check.hpp"
 #include "obs/fabric_heatmap.hpp"
-#include "obs/perf_counters.hpp"
-#include "obs/phase_timer.hpp"
 #include "obs/route_probe.hpp"
-#include "obs/tracer.hpp"
 
 namespace brsmn::packed {
 
@@ -223,63 +220,6 @@ void unshuffle_planes(const PackedLines& in, PackedLines& out) {
   }
 }
 
-void CountPyramid::build(std::span<const std::uint64_t> indicator,
-                         std::size_t n, const simd::SimdOps* ops) {
-  BRSMN_EXPECTS(is_pow2(n) && n >= 2);
-  const std::size_t wpl = words_for(n);
-  BRSMN_EXPECTS(indicator.size() == wpl);
-  n_ = n;
-  levels_ = log2_exact(n);
-  const int in_word = std::min(levels_, 6);
-  // Resize-reuse: every word below is fully overwritten by the cascade,
-  // so rebuilding with held capacity allocates nothing.
-  packed_.resize(static_cast<std::size_t>(in_word));
-  std::uint64_t* level_words[6] = {};
-  for (int j = 0; j < in_word; ++j) {
-    packed_[static_cast<std::size_t>(j)].resize(wpl);
-    level_words[j] = packed_[static_cast<std::size_t>(j)].data();
-  }
-  const simd::SimdOps& o =
-      ops != nullptr ? *ops : simd::ops(simd::Backend::Portable);
-  o.count_cascade(indicator.data(), level_words, in_word, wpl);
-  if (levels_ <= 6) {
-    coarse_.clear();
-  } else {
-    // Level 7 aggregates whole-word totals (the level-6 fields).
-    const auto& word_totals = packed_[5];
-    coarse_.resize(static_cast<std::size_t>(levels_ - 6));
-    coarse_[0].resize(n >> 7);
-    for (std::size_t b = 0; b < coarse_[0].size(); ++b) {
-      coarse_[0][b] = static_cast<std::uint32_t>(word_totals[2 * b] +
-                                                 word_totals[2 * b + 1]);
-    }
-    for (int j = 8; j <= levels_; ++j) {
-      const auto& child = coarse_[static_cast<std::size_t>(j - 8)];
-      auto& cur = coarse_[static_cast<std::size_t>(j - 7)];
-      cur.resize(child.size() / 2);
-      for (std::size_t b = 0; b < cur.size(); ++b) {
-        cur[b] = child[2 * b] + child[2 * b + 1];
-      }
-    }
-  }
-}
-
-std::size_t CountPyramid::count(int level, std::size_t block) const {
-  BRSMN_EXPECTS(level >= 1 && level <= levels_);
-  BRSMN_EXPECTS(block < (n_ >> level));
-  if (level > 6) return coarse_[static_cast<std::size_t>(level - 7)][block];
-  const std::uint64_t word =
-      packed_[static_cast<std::size_t>(level - 1)][block >> (6 - level)];
-  const std::size_t field = block & ((std::size_t{1} << (6 - level)) - 1);
-  const unsigned shift = static_cast<unsigned>(field) << level;
-  const std::uint64_t mask = level == 6
-                                 ? ~std::uint64_t{0}
-                                 : (std::uint64_t{1} << (1u << level)) - 1;
-  return static_cast<std::size_t>((word >> shift) & mask);
-}
-
-std::size_t CountPyramid::total() const { return count(levels_, 0); }
-
 void TagCensus::build(std::span<const std::uint64_t> t0,
                       std::span<const std::uint64_t> t1,
                       std::span<const std::uint64_t> t2, std::size_t n,
@@ -294,30 +234,32 @@ void TagCensus::build(std::span<const std::uint64_t> t0,
   alpha_.resize(wpl);
   eps_.resize(wpl);
   ones_.resize(wpl);
-  step_.resize(wpl);
+  step_.resize(2 * wpl);
   ops.census_split(t0.data(), t1.data(), t2.data(), alpha_.data(), eps_.data(),
                    ones_.data(), wpl);
+  if (levels_ < 2) return;  // n = 2: no block of a stored level
   const std::uint64_t* planes[3] = {alpha_.data(), eps_.data(), ones_.data()};
-  const std::size_t n1 = n >> 1;
+  const std::size_t n2 = n >> 2;
+  std::uint64_t* steps[2] = {step_.data(), step_.data() + wpl};
   for (int c = 0; c < 3; ++c) {
-    counts_[c].resize(n - 1);
+    counts_[c].resize((n >> 1) - 1);
     std::uint32_t* flat = counts_[c].data();
-    // Level 1 (pair counts): one cascade step packs 32 two-bit pair
-    // fields per word; spill them to uint32 so every coarser level is a
-    // straight pairwise vector sum.
-    std::uint64_t* step = step_.data();
-    ops.count_cascade(planes[c], &step, 1, wpl);
+    // Level 2 (4-line blocks): two cascade steps pack 16 four-bit fields
+    // per word; spill them to uint32 so every coarser level is a straight
+    // pairwise vector sum.
+    ops.count_cascade(planes[c], steps, 2, wpl);
     for (std::size_t w = 0; w < wpl; ++w) {
-      const std::uint64_t fields = step_[w];
-      const std::size_t base = 32 * w;
-      const std::size_t lim = std::min<std::size_t>(32, n1 - base);
+      const std::uint64_t fields = steps[1][w];
+      const std::size_t base = 16 * w;
+      const std::size_t lim = std::min<std::size_t>(16, n2 - base);
       for (std::size_t f = 0; f < lim; ++f) {
-        flat[base + f] = static_cast<std::uint32_t>((fields >> (2 * f)) & 3u);
+        flat[base + f] =
+            static_cast<std::uint32_t>((fields >> (4 * f)) & 0xfu);
       }
     }
-    // Levels 2..log2(n): each level's counts start exactly where the
+    // Levels 3..log2(n): each level's counts start exactly where the
     // finer level's end, so src and dst never overlap.
-    for (int j = 2; j <= levels_; ++j) {
+    for (int j = 3; j <= levels_; ++j) {
       ops.pair_sum_u32(flat + offset(j - 1), flat + offset(j), n >> j);
     }
   }
@@ -1337,17 +1279,14 @@ void compile_level_unrolled(std::vector<Bsn>& level, std::size_t n, int k,
                         "BSN input violates n1 + n_alpha <= n/2 (Eq. 2)");
     }
 
-    obs::PhaseTimer scatter_timer(probe.scatter);
-    obs::PerfScope scatter_perf(probe.profiler, probe.perf_scatter);
-    obs::TraceSpan scatter_span(probe.tracer, "bsn.scatter.config");
+    obs::PhaseScope scatter_scope(probe, obs::Phase::Scatter,
+                                  "bsn.scatter.config");
     configure_scatter_packed(
         ws, census, &result.stats,
         scatter_pass != nullptr ? &scatter_sink : nullptr);
     install_pass_unrolled(level, PassKind::Scatter, ws,
                           pl != nullptr ? &pl->scatter_settings : nullptr);
-    scatter_span.end();
-    scatter_perf.stop();
-    scatter_timer.stop();
+    scatter_scope.end();
     // A BSN root whose α count exceeds its ε count would be α-typed
     // with a nonzero surplus.
     for (std::size_t bb = 0; bb < (n >> S); ++bb) {
@@ -1362,11 +1301,10 @@ void compile_level_unrolled(std::vector<Bsn>& level, std::size_t n, int k,
   fault::guard(checking, n, route_ord, k, PassKind::Scatter, true, [&] {
     finalize_events(kx, /*bsn_block_major=*/true, next_copy_id,
                     &result.stats);
-    obs::PhaseTimer scatter_datapath(probe.datapath);
-    obs::TraceSpan scatter_data_span(probe.tracer, "bsn.scatter.datapath");
+    obs::PhaseScope scatter_data_scope(probe, obs::Phase::Datapath,
+                                       "bsn.scatter.datapath");
     run_scatter_datapath(kx);
-    scatter_data_span.end();
-    scatter_datapath.stop();
+    scatter_data_scope.end();
     result.stats.switch_traversals += (n / 2) * static_cast<std::size_t>(S);
 
     build_census(mid, kx);
@@ -1395,13 +1333,10 @@ void compile_level_unrolled(std::vector<Bsn>& level, std::size_t n, int k,
     if (quasi_pass != nullptr) {
       quasi_sink.record_input_tags(materialize_tags(kx, /*collapse=*/true));
     }
-    obs::PhaseTimer divide_timer(probe.eps_divide);
-    obs::PerfScope divide_perf(probe.profiler, probe.perf_eps_divide);
-    obs::TraceSpan divide_span(probe.tracer, "bsn.eps_divide");
+    obs::PhaseScope divide_scope(probe, obs::Phase::EpsDivide,
+                                 "bsn.eps_divide");
     divide_eps_packed(ws, mid, &result.stats);
-    divide_span.end();
-    divide_perf.stop();
-    divide_timer.stop();
+    divide_scope.end();
     if (quasi_pass != nullptr) {
       quasi_sink.record_divided_tags(
           materialize_tags(kx, /*collapse=*/false));
@@ -1410,17 +1345,14 @@ void compile_level_unrolled(std::vector<Bsn>& level, std::size_t n, int k,
     kx.reset_pass();
     pk::TagCensus& divided = ws.divided;
     build_census(divided, kx);
-    obs::PhaseTimer quasisort_timer(probe.quasisort);
-    obs::PerfScope quasisort_perf(probe.profiler, probe.perf_quasisort);
-    obs::TraceSpan quasisort_span(probe.tracer, "bsn.quasisort.config");
+    obs::PhaseScope quasisort_scope(probe, obs::Phase::Quasisort,
+                                    "bsn.quasisort.config");
     configure_quasisort_packed(
         ws, divided, &result.stats,
         quasi_pass != nullptr ? &quasi_sink : nullptr);
     install_pass_unrolled(level, PassKind::Quasisort, ws,
                           pl != nullptr ? &pl->quasisort_settings : nullptr);
-    quasisort_span.end();
-    quasisort_perf.stop();
-    quasisort_timer.stop();
+    quasisort_scope.end();
   });
   if (pl != nullptr) {
     pl->divided_t2.assign(kx.tag_plane(2).begin(), kx.tag_plane(2).end());
@@ -1429,11 +1361,10 @@ void compile_level_unrolled(std::vector<Bsn>& level, std::size_t n, int k,
   seam.apply_unrolled_packed(level, PassKind::Quasisort, kx.masks);
 
   fault::guard(checking, n, route_ord, k, PassKind::Quasisort, true, [&] {
-    obs::PhaseTimer sort_datapath(probe.datapath);
-    obs::TraceSpan sort_data_span(probe.tracer, "bsn.quasisort.datapath");
+    obs::PhaseScope sort_data_scope(probe, obs::Phase::Datapath,
+                                    "bsn.quasisort.datapath");
     run_unicast_datapath(kx);
-    sort_data_span.end();
-    sort_datapath.stop();
+    sort_data_scope.end();
     result.stats.switch_traversals += (n / 2) * static_cast<std::size_t>(S);
 
     // Postcondition: zeros (real or dummy) occupy the upper half of every
@@ -1501,9 +1432,8 @@ void compile_level_feedback(Rbn& fabric, std::size_t n, int m, int k,
       scatter_sink.record_input_tags(materialize_tags(kx, /*collapse=*/true));
     }
     build_census(ws.census, kx);
-    obs::PhaseTimer scatter_timer(probe.scatter);
-    obs::PerfScope scatter_perf(probe.profiler, probe.perf_scatter);
-    obs::TraceSpan scatter_span(probe.tracer, "fb.scatter.config");
+    const obs::PhaseScope scatter_scope(probe, obs::Phase::Scatter,
+                                        "fb.scatter.config");
     configure_scatter_packed(
         ws, ws.census, &result.stats,
         scatter_sink.pass != nullptr ? &scatter_sink : nullptr);
@@ -1515,11 +1445,9 @@ void compile_level_feedback(Rbn& fabric, std::size_t n, int m, int k,
   fault::guard(checking, n, route_ord, k, PassKind::Scatter, true, [&] {
     finalize_events(kx, /*bsn_block_major=*/false, next_copy_id,
                     &result.stats);
-    obs::PhaseTimer scatter_datapath(probe.datapath);
-    obs::TraceSpan scatter_data_span(probe.tracer, "fb.scatter.datapath");
+    const obs::PhaseScope scatter_data_scope(probe, obs::Phase::Datapath,
+                                             "fb.scatter.datapath");
     run_scatter_datapath(kx);
-    scatter_data_span.end();
-    scatter_datapath.stop();
   });
   if (pl != nullptr) {
     capture_stage_events(kx, pl->events);
@@ -1546,20 +1474,16 @@ void compile_level_feedback(Rbn& fabric, std::size_t n, int m, int k,
       quasi_sink.record_input_tags(materialize_tags(kx, /*collapse=*/true));
     }
     obs::TraceSpan quasi_config_span(probe.tracer, "fb.quasisort.config");
-    obs::PhaseTimer divide_timer(probe.eps_divide);
-    obs::PerfScope divide_perf(probe.profiler, probe.perf_eps_divide);
-    obs::TraceSpan divide_span(probe.tracer, "fb.eps_divide");
+    obs::PhaseScope divide_scope(probe, obs::Phase::EpsDivide,
+                                 "fb.eps_divide");
     divide_eps_packed(ws, ws.mid, &result.stats);
-    divide_span.end();
-    divide_perf.stop();
-    divide_timer.stop();
+    divide_scope.end();
     if (quasi_sink.pass != nullptr) {
       quasi_sink.record_divided_tags(
           materialize_tags(kx, /*collapse=*/false));
     }
     build_census(ws.divided, kx);
-    obs::PhaseTimer quasisort_timer(probe.quasisort);
-    obs::PerfScope quasisort_perf(probe.profiler, probe.perf_quasisort);
+    const obs::PhaseScope quasisort_scope(probe, obs::Phase::Quasisort);
     configure_quasisort_packed(
         ws, ws.divided, &result.stats,
         quasi_sink.pass != nullptr ? &quasi_sink : nullptr);
@@ -1572,11 +1496,9 @@ void compile_level_feedback(Rbn& fabric, std::size_t n, int m, int k,
   }
   seam.apply_full_packed(fabric, PassKind::Quasisort, kx.masks);
   fault::guard(checking, n, route_ord, k, PassKind::Quasisort, true, [&] {
-    obs::PhaseTimer sort_datapath(probe.datapath);
-    obs::TraceSpan sort_data_span(probe.tracer, "fb.quasisort.datapath");
+    const obs::PhaseScope sort_data_scope(probe, obs::Phase::Datapath,
+                                          "fb.quasisort.datapath");
     run_unicast_datapath(kx);
-    sort_data_span.end();
-    sort_datapath.stop();
   });
   if (pl != nullptr) {
     pl->post_quasisort.assign(kx.state.words().begin(),
@@ -1675,19 +1597,11 @@ RouteResult packed_route(Brsmn& net, const MulticastAssignment& assignment,
                          const RouteOptions& options, RoutePlan* plan) {
   const std::size_t n = net.n_;
   const int m = net.m_;
-  obs::RouteProbe probe;
-  obs::FabricHeatmap* heatmap = nullptr;
-  if constexpr (obs::kEnabled) {
-    if (options.metrics != nullptr) {
-      probe = obs::RouteProbe::attach(*options.metrics, options.metrics_prefix);
-    }
-    probe.tracer = options.tracer;
-    probe.attach_profiler(options.profiler);
-    heatmap = options.heatmap;
-  }
-  obs::PhaseTimer total_timer(probe.total);
-  obs::PerfScope total_perf(probe.profiler, probe.perf_total);
-  obs::TraceSpan route_span(probe.tracer, "brsmn.route");
+  obs::RouteProbe probe = obs::RouteProbe::attach(
+      options.metrics, options.metrics_prefix, options.tracer,
+      options.profiler);
+  obs::FabricHeatmap* heatmap = obs::kEnabled ? options.heatmap : nullptr;
+  obs::PhaseScope total_scope(probe, obs::Phase::Total, "brsmn.route");
 
   RouteResult result;
   result.delivered.assign(n, std::nullopt);
@@ -1765,9 +1679,8 @@ RouteResult packed_route(Brsmn& net, const MulticastAssignment& assignment,
   if (plan != nullptr) capture_final_planes(kx, *plan);
   const std::size_t splits_before_final = result.stats.broadcast_ops;
   {
-    obs::PhaseTimer final_timer(probe.datapath);
-    obs::PerfScope final_perf(probe.profiler, probe.perf_datapath);
-    obs::TraceSpan final_span(probe.tracer, "level.final");
+    const obs::PhaseScope final_scope(probe, obs::Phase::Datapath,
+                                      "level.final");
     ExplainSink final_sink;
     if (options.explain) {
       result.explanation->passes.push_back(
@@ -1795,8 +1708,7 @@ RouteResult packed_route(Brsmn& net, const MulticastAssignment& assignment,
     throw;
   }
   if (plan != nullptr) capture_result(result, *plan);
-  total_perf.stop();
-  total_timer.stop();
+  total_scope.end();
   if constexpr (obs::kEnabled) {
     if (probe.enabled()) probe.record_stats(result.stats);
   }
@@ -1808,19 +1720,11 @@ RouteResult packed_route(FeedbackBrsmn& net,
                          const RouteOptions& options, RoutePlan* plan) {
   const std::size_t n = net.size();
   const int m = net.levels();
-  obs::RouteProbe probe;
-  obs::FabricHeatmap* heatmap = nullptr;
-  if constexpr (obs::kEnabled) {
-    if (options.metrics != nullptr) {
-      probe = obs::RouteProbe::attach(*options.metrics, options.metrics_prefix);
-    }
-    probe.tracer = options.tracer;
-    probe.attach_profiler(options.profiler);
-    heatmap = options.heatmap;
-  }
-  obs::PhaseTimer total_timer(probe.total);
-  obs::PerfScope total_perf(probe.profiler, probe.perf_total);
-  obs::TraceSpan route_span(probe.tracer, "feedback.route");
+  obs::RouteProbe probe = obs::RouteProbe::attach(
+      options.metrics, options.metrics_prefix, options.tracer,
+      options.profiler);
+  obs::FabricHeatmap* heatmap = obs::kEnabled ? options.heatmap : nullptr;
+  obs::PhaseScope total_scope(probe, obs::Phase::Total, "feedback.route");
 
   RouteResult result;
   result.delivered.assign(n, std::nullopt);
@@ -1894,9 +1798,8 @@ RouteResult packed_route(FeedbackBrsmn& net,
   if (plan != nullptr) capture_final_planes(kx, *plan);
   const std::size_t splits_before_final = result.stats.broadcast_ops;
   {
-    obs::PhaseTimer final_timer(probe.datapath);
-    obs::PerfScope final_perf(probe.profiler, probe.perf_datapath);
-    obs::TraceSpan final_span(probe.tracer, "level.final");
+    const obs::PhaseScope final_scope(probe, obs::Phase::Datapath,
+                                      "level.final");
     ExplainSink final_sink;
     if (options.explain) {
       result.explanation->passes.push_back(make_pass(m, PassKind::Final, n, 1));
@@ -1924,8 +1827,7 @@ RouteResult packed_route(FeedbackBrsmn& net,
     throw;
   }
   if (plan != nullptr) capture_result(result, *plan);
-  total_perf.stop();
-  total_timer.stop();
+  total_scope.end();
   if constexpr (obs::kEnabled) {
     if (probe.enabled()) probe.record_stats(result.stats);
   }
@@ -1963,23 +1865,13 @@ planner::PatchOutcome patch_route_core(
   // compiled without one cannot serve an explained patch.
   if (options.explain && !base.explanation.has_value()) return outcome;
 
-  obs::RouteProbe probe;
-  obs::Histogram* patch_hist = nullptr;
-  obs::FabricHeatmap* heatmap = nullptr;
-  if constexpr (obs::kEnabled) {
-    if (options.metrics != nullptr) {
-      probe = obs::RouteProbe::attach(*options.metrics, options.metrics_prefix);
-      patch_hist = &options.metrics->histogram(
-          std::string(options.metrics_prefix) + ".phase.patch_ns");
-    }
-    probe.tracer = options.tracer;
-    probe.attach_profiler(options.profiler);
-    heatmap = options.heatmap;
-  }
-  obs::PhaseTimer total_timer(probe.total);
-  obs::PerfScope total_perf(probe.profiler, probe.perf_total);
-  obs::PhaseTimer patch_timer(patch_hist);
-  obs::TraceSpan patch_span(probe.tracer, "plan.patch");
+  obs::RouteProbe probe = obs::RouteProbe::attach(
+      options.metrics, options.metrics_prefix, options.tracer,
+      options.profiler);
+  probe.resolve(obs::Phase::Patch);
+  obs::FabricHeatmap* heatmap = obs::kEnabled ? options.heatmap : nullptr;
+  obs::PhaseScope total_scope(probe, obs::Phase::Total);
+  const obs::PhaseScope patch_scope(probe, obs::Phase::Patch, "plan.patch");
 
   RouteResult& result = outcome.result;
   result.delivered.assign(n, std::nullopt);
@@ -2050,9 +1942,8 @@ planner::PatchOutcome patch_route_core(
   capture_final_planes(kx, out);
   const std::size_t splits_before_final = result.stats.broadcast_ops;
   {
-    obs::PhaseTimer final_timer(probe.datapath);
-    obs::PerfScope final_perf(probe.profiler, probe.perf_datapath);
-    obs::TraceSpan final_span(probe.tracer, "level.final");
+    const obs::PhaseScope final_scope(probe, obs::Phase::Datapath,
+                                      "level.final");
     ExplainSink final_sink;
     if (options.explain) {
       result.explanation->passes.push_back(make_pass(m, PassKind::Final, n, 1));
@@ -2075,8 +1966,7 @@ planner::PatchOutcome patch_route_core(
                     "patched BRSMN route delivered incorrectly");
   capture_result(result, out);
   outcome.patched = true;
-  total_perf.stop();
-  total_timer.stop();
+  total_scope.end();
   if constexpr (obs::kEnabled) {
     if (probe.enabled()) probe.record_stats(result.stats);
   }

@@ -205,45 +205,18 @@ void shuffle_planes(const PackedLines& in, PackedLines& out);
 /// Inverse permutation: out[i] = in[topo::shuffle(i, n)].
 void unshuffle_planes(const PackedLines& in, PackedLines& out);
 
-/// Word-parallel counting tree over an indicator plane — the software
-/// analogue of Section 7.2's per-stage adder trees. After build(),
-/// count(j, b) is the number of set bits among lines [b*2^j, (b+1)*2^j),
-/// for every 1 <= j <= log2(n). Levels up to 64-line blocks are computed
-/// as an in-word SWAR cascade (six masked add steps per word); coarser
-/// levels sum word totals.
-class CountPyramid {
- public:
-  /// `indicator` holds n lines (bits past n must be zero); n a power of
-  /// two >= 2. The in-word cascade runs through `ops` when given
-  /// (nullptr = portable); every backend computes identical words.
-  void build(std::span<const std::uint64_t> indicator, std::size_t n,
-             const simd::SimdOps* ops = nullptr);
-
-  std::size_t count(int level, std::size_t block) const;
-
-  /// count(log2(n), 0): the whole-plane total.
-  std::size_t total() const;
-
- private:
-  std::size_t n_ = 0;
-  int levels_ = 0;
-  /// packed_[j-1] for level j in 1..min(levels, 6): fields of 2^j bits.
-  std::vector<Words> packed_;
-  /// coarse_[j-7] for level j >= 7: one count per block.
-  std::vector<std::vector<std::uint32_t>> coarse_;
-};
-
 /// Structure-of-arrays tag census: the three class indicator planes
 /// (alpha = t0 & ~t1, eps = t0 & t1, ones = t2) plus flat per-class
-/// count arrays covering every tree level at once. Where CountPyramid
-/// answers one (level, block) query from bit-field extraction, the
-/// census stores all n-1 block counts per class as contiguous uint32
-/// values — level j's n/2^j counts start at offset n - n/2^(j-1) — so
-/// the scatter/quasisort configuration sweeps read their counts as
-/// plain array loads with no shifting or masking. Levels above the
-/// in-word cascade are built by the backend's pair_sum_u32 kernel, one
-/// whole level per call. All buffers are reused across build() calls
-/// (zero steady-state allocations in the compile hot path).
+/// count arrays covering tree levels 2..log2(n) at once — the software
+/// analogue of Section 7.2's per-stage adder trees. Level j's n/2^j
+/// counts start at offset n/2 - n/2^(j-1), so the scatter/quasisort
+/// configuration sweeps read their counts as plain array loads with no
+/// shifting or masking. Level 2 comes from a two-step in-word cascade
+/// (4-bit fields); every coarser level is built by the backend's
+/// pair_sum_u32 kernel, one whole level per call. Level 1 (pair counts)
+/// is not stored: the smallest block any sweep asks about is a 4-line
+/// BSN. All buffers are reused across build() calls (zero steady-state
+/// allocations in the compile hot path).
 class TagCensus {
  public:
   /// Build from the three tag planes (words_for(n) logical words each;
@@ -260,7 +233,7 @@ class TagCensus {
   std::span<const std::uint64_t> ones() const { return {ones_.data(), wpl_}; }
 
   /// Number of class members among lines [block*2^level,
-  /// (block+1)*2^level), for 1 <= level <= log2(n).
+  /// (block+1)*2^level), for 2 <= level <= log2(n).
   std::size_t count_alpha(int level, std::size_t block) const {
     return counts_[0][offset(level) + block];
   }
@@ -273,10 +246,11 @@ class TagCensus {
 
  private:
   /// Start of level j's counts in the flat per-class arrays: levels are
-  /// stored contiguously coarsening upward, so level j begins after the
-  /// n/2 + n/4 + ... + n/2^(j-1) = n - n/2^(j-1) finer counts.
+  /// stored contiguously coarsening upward from level 2, so level j
+  /// begins after the n/4 + n/8 + ... + n/2^(j-1) = n/2 - n/2^(j-1)
+  /// finer counts.
   std::size_t offset(int level) const {
-    return n_ - (n_ >> (level - 1));
+    return (n_ >> 1) - (n_ >> (level - 1));
   }
 
   std::size_t n_ = 0;
@@ -285,8 +259,8 @@ class TagCensus {
   Words alpha_;
   Words eps_;
   Words ones_;
-  Words step_;  ///< one-level cascade scratch (pair fields, 2 bits each)
-  std::vector<std::uint32_t> counts_[3];  ///< flat counts, n-1 per class
+  Words step_;  ///< two-step cascade scratch: 2-bit, then 4-bit fields
+  std::vector<std::uint32_t> counts_[3];  ///< flat counts, n/2-1 per class
 };
 
 /// Select the first `k` set bits (in line order) of `plane` within

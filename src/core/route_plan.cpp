@@ -22,10 +22,7 @@
 #include "fault/self_check.hpp"
 #include "obs/fabric_heatmap.hpp"
 #include "obs/metrics.hpp"
-#include "obs/perf_counters.hpp"
-#include "obs/phase_timer.hpp"
 #include "obs/route_probe.hpp"
-#include "obs/tracer.hpp"
 
 namespace brsmn {
 
@@ -113,24 +110,13 @@ void replay_core(std::size_t n, int m, fault::ImplKind impl,
   BRSMN_EXPECTS_MSG(!options.explain || plan.explanation.has_value(),
                     "explain replay requires a plan compiled with explain");
 
-  obs::RouteProbe probe;
-  obs::Histogram* replay_hist = nullptr;
-  obs::FabricHeatmap* heatmap = nullptr;
-  if constexpr (obs::kEnabled) {
-    if (options.metrics != nullptr) {
-      probe = obs::RouteProbe::attach(*options.metrics, options.metrics_prefix);
-      replay_hist = &options.metrics->histogram(
-          std::string(options.metrics_prefix) + ".phase.replay_ns");
-    }
-    probe.tracer = options.tracer;
-    probe.attach_profiler(options.profiler);
-    heatmap = options.heatmap;
-  }
-  obs::PhaseTimer total_timer(probe.total);
-  obs::PerfScope total_perf(probe.profiler, probe.perf_total);
-  obs::PhaseTimer replay_timer(replay_hist);
-  obs::PerfScope replay_perf(probe.profiler, probe.perf_replay);
-  obs::TraceSpan replay_span(probe.tracer, "plan.replay");
+  obs::RouteProbe probe = obs::RouteProbe::attach(
+      options.metrics, options.metrics_prefix, options.tracer,
+      options.profiler);
+  probe.resolve(obs::Phase::Replay);
+  obs::FabricHeatmap* heatmap = obs::kEnabled ? options.heatmap : nullptr;
+  obs::PhaseScope total_scope(probe, obs::Phase::Total);
+  obs::PhaseScope replay_scope(probe, obs::Phase::Replay, "plan.replay");
 
   const bool checking = options.self_check || options.faults != nullptr;
   if (options.faults != nullptr) {
@@ -185,9 +171,9 @@ void replay_core(std::size_t n, int m, fault::ImplKind impl,
     kx.num_events = pl.num_events;
     kx.parent_code.assign(pl.num_events, 0);
     fault::guard(checking, n, route_ord, k, PassKind::Scatter, true, [&] {
-      obs::PhaseTimer scatter_datapath(probe.datapath);
+      obs::PhaseScope scatter_data_scope(probe, obs::Phase::Datapath);
       pkern::run_scatter_datapath(kx);
-      scatter_datapath.stop();
+      scatter_data_scope.end();
       if (checking) {
         BRSMN_ENSURES_MSG(
             state_equals(kx, pl.post_scatter),
@@ -202,9 +188,9 @@ void replay_core(std::size_t n, int m, fault::ImplKind impl,
     install_pass(k, PassKind::Quasisort, pl);
     seam_apply(seam, k, PassKind::Quasisort, kx.masks);
     fault::guard(checking, n, route_ord, k, PassKind::Quasisort, true, [&] {
-      obs::PhaseTimer sort_datapath(probe.datapath);
+      obs::PhaseScope sort_data_scope(probe, obs::Phase::Datapath);
       pkern::run_unicast_datapath(kx);
-      sort_datapath.stop();
+      sort_data_scope.end();
       if (checking) {
         BRSMN_ENSURES_MSG(
             state_equals(kx, pl.post_quasisort),
@@ -251,11 +237,8 @@ void replay_core(std::size_t n, int m, fault::ImplKind impl,
     out.explanation.reset();
   }
 
-  replay_span.end();
-  replay_perf.stop();
-  replay_timer.stop();
-  total_perf.stop();
-  total_timer.stop();
+  replay_scope.end();
+  total_scope.end();
   if constexpr (obs::kEnabled) {
     if (probe.enabled()) probe.record_stats(out.stats);
   }

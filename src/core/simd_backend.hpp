@@ -86,7 +86,7 @@ struct SimdOps {
   void (*or_andnot)(std::uint64_t* dst, const std::uint64_t* a,
                     const std::uint64_t* b, std::size_t words);
 
-  /// The CountPyramid in-word counting cascade: starting from the
+  /// The in-word counting cascade (packed::TagCensus): starting from the
   /// indicator word, apply `nlevels` (1..6) masked-add steps per word and
   /// store step j's result to levels[j-1][w] — fields of 2^j bits each.
   void (*count_cascade)(const std::uint64_t* in,

@@ -7,9 +7,9 @@
 // opens one grouped perf event set (cycles leader + instructions,
 // cache-misses, branch-misses, read atomically in a single syscall with
 // TOTAL_TIME_ENABLED/RUNNING scaling for multiplexed counters), and
-// PhaseProfiler accumulates per-phase deltas through the RAII PerfScope —
-// placed *next to* the existing PhaseTimers, composing with them rather
-// than modifying them.
+// PhaseProfiler accumulates per-phase deltas. The engines feed it through
+// obs::PhaseScope (obs/route_probe.hpp), the same scope that times the
+// phase histogram and opens the phase's trace span.
 //
 // Graceful fallback: perf_event_open is frequently unavailable
 // (kernel.perf_event_paranoid, seccomp in CI containers, non-Linux
@@ -130,37 +130,6 @@ class PhaseProfiler {
  private:
   PerfCounterGroup group_;
   std::vector<PerfPhaseStats> phases_;
-};
-
-/// RAII phase scope: reads the group at construction and destruction and
-/// accumulates the delta. A null profiler (or an unavailable group) costs
-/// one branch.
-class PerfScope {
- public:
-  PerfScope(PhaseProfiler* profiler, std::size_t phase_id)
-      : profiler_(profiler != nullptr && profiler->available() ? profiler
-                                                               : nullptr),
-        phase_id_(phase_id) {
-    if (profiler_ != nullptr) start_ = profiler_->group().read();
-  }
-  ~PerfScope() { stop(); }
-
-  /// End the scope early (mirrors PhaseTimer::stop); the destructor then
-  /// does nothing.
-  void stop() {
-    if (profiler_ != nullptr) {
-      profiler_->accumulate(phase_id_, start_, profiler_->group().read());
-      profiler_ = nullptr;
-    }
-  }
-
-  PerfScope(const PerfScope&) = delete;
-  PerfScope& operator=(const PerfScope&) = delete;
-
- private:
-  PhaseProfiler* profiler_;
-  std::size_t phase_id_ = 0;
-  PerfCounterGroup::Reading start_;
 };
 
 }  // namespace brsmn::obs

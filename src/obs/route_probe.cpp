@@ -1,32 +1,52 @@
 #include "obs/route_probe.hpp"
 
-#include "obs/perf_counters.hpp"
-
 namespace brsmn::obs {
 
-RouteProbe RouteProbe::attach(MetricRegistry& registry,
-                              std::string_view prefix) {
+std::string_view phase_name(Phase phase) {
+  switch (phase) {
+    case Phase::Scatter: return "scatter";
+    case Phase::EpsDivide: return "eps_divide";
+    case Phase::Quasisort: return "quasisort";
+    case Phase::Datapath: return "datapath";
+    case Phase::Total: return "total";
+    case Phase::Replay: return "replay";
+    case Phase::Patch: return "patch";
+  }
+  return "?";
+}
+
+RouteProbe RouteProbe::attach(MetricRegistry* registry,
+                              std::string_view prefix, Tracer* tracer,
+                              PhaseProfiler* profiler) {
   RouteProbe probe;
-  probe.registry = &registry;
-  probe.prefix = std::string(prefix);
-  probe.scatter = &registry.histogram(probe.prefix + ".phase.scatter_ns");
-  probe.eps_divide =
-      &registry.histogram(probe.prefix + ".phase.eps_divide_ns");
-  probe.quasisort = &registry.histogram(probe.prefix + ".phase.quasisort_ns");
-  probe.datapath = &registry.histogram(probe.prefix + ".phase.datapath_ns");
-  probe.total = &registry.histogram(probe.prefix + ".phase.total_ns");
+  if constexpr (kEnabled) {
+    if (registry != nullptr) {
+      probe.registry = registry;
+      probe.prefix = std::string(prefix);
+      for (const Phase phase : {Phase::Scatter, Phase::EpsDivide,
+                                Phase::Quasisort, Phase::Datapath,
+                                Phase::Total}) {
+        probe.resolve(phase);
+      }
+    }
+    probe.tracer = tracer;
+    if (profiler != nullptr && profiler->available()) {
+      probe.profiler = profiler;
+      for (std::size_t i = 0; i < kPhaseCount; ++i) {
+        const Phase phase = static_cast<Phase>(i);
+        probe.perf[i] = phase == Phase::Patch
+                            ? kNoPerfPhase
+                            : profiler->phase_id(phase_name(phase));
+      }
+    }
+  }
   return probe;
 }
 
-void RouteProbe::attach_profiler(PhaseProfiler* p) {
-  if (p == nullptr || !p->available()) return;
-  profiler = p;
-  perf_scatter = p->phase_id("scatter");
-  perf_eps_divide = p->phase_id("eps_divide");
-  perf_quasisort = p->phase_id("quasisort");
-  perf_datapath = p->phase_id("datapath");
-  perf_total = p->phase_id("total");
-  perf_replay = p->phase_id("replay");
+void RouteProbe::resolve(Phase phase) {
+  if (registry == nullptr) return;
+  hist[phase_index(phase)] = &registry->histogram(
+      prefix + ".phase." + std::string(phase_name(phase)) + "_ns");
 }
 
 void RouteProbe::record_stats(const RoutingStats& stats) const {

@@ -18,7 +18,6 @@ ChaosSummary run_chaos(const ChaosConfig& config) {
   sw_config.ports = config.ports;
   sw_config.metrics = config.metrics;
   sw_config.tracer = config.tracer;
-  sw_config.engine = config.engine;
   sw_config.faults = &injector;
   sw_config.retry = config.retry;
   sw_config.max_cell_age = config.max_cell_age;

@@ -43,7 +43,6 @@ struct ChaosConfig {
   fault::FaultPlan plan{};
   /// Forwarded to QueuedMulticastSwitch::Config.
   std::size_t max_cell_age = 0;
-  RouteEngine engine = RouteEngine::Scalar;
   api::RetryPolicy retry{};
   obs::MetricRegistry* metrics = nullptr;
   obs::Tracer* tracer = nullptr;

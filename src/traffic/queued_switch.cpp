@@ -13,7 +13,6 @@ namespace {
 api::ResilientOptions router_options(
     const QueuedMulticastSwitch::Config& config) {
   api::ResilientOptions o;
-  o.engine = config.engine;
   o.retry = config.retry;
   o.self_check = config.self_check;
   o.faults = config.faults;

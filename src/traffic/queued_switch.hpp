@@ -64,8 +64,6 @@ class QueuedMulticastSwitch {
     /// switch.backlog_copies counter tracks, so queue depth is plotted
     /// against the routing timeline in the Chrome trace.
     obs::Tracer* tracer = nullptr;
-    /// Primary routing engine for the fabric (fallbacks per `retry`).
-    RouteEngine engine = RouteEngine::Scalar;
     /// Online self-check for every route (see core/brsmn.hpp).
     bool self_check = true;
     /// Fault-injection seam, handed to the resilient router. Null: no

@@ -142,22 +142,6 @@ TEST(Chaos, SameSeedSameStory) {
   }
 }
 
-TEST(Chaos, PackedEngineRunsTheSameSchedule) {
-  // The packed engine honors the same fault plan; the run still
-  // conserves and drains (per-epoch outcomes may differ from scalar
-  // because the ladder's rung order differs).
-  ChaosConfig config = base_config();
-  config.engine = RouteEngine::Packed;
-  config.plan.n = config.ports;
-  config.plan.faults.push_back(transient_flip(
-      1, PassKind::Scatter, 1, 4, fault::Activation{0, 30, 3}));
-
-  const ChaosSummary summary = run_chaos(config);
-  EXPECT_TRUE(summary.conserved());
-  EXPECT_TRUE(summary.drained);
-  EXPECT_EQ(summary.faults_gaveup, 0u);
-}
-
 TEST(Chaos, RejectsMismatchedPlanWidth) {
   ChaosConfig config = base_config();
   config.plan.n = config.ports * 2;

@@ -844,7 +844,6 @@ TEST(GroupFrontEnds, ParallelRouterRoutesGroupsById) {
   PlanCache cache;
   GroupManager groups(n);
   api::ParallelRouter router(n, 4);
-  router.set_engine(RouteEngine::Packed);
   router.set_plan_cache(&cache);
 
   // Each group's sole source is its own id, so the 24 assignments are
@@ -895,7 +894,6 @@ TEST(GroupFrontEnds, ResilientRouterWalksLadderForGroups) {
   PlanCache cache;
   GroupManager groups(n);
   api::ResilientOptions options;
-  options.engine = RouteEngine::Packed;
   options.plan_cache = &cache;
   api::ResilientRouter router(n, options);
 
@@ -931,7 +929,6 @@ TEST(GroupFrontEnds, ResilientRouterRecoversGroupRouteFromFaults) {
   fplan.faults.push_back(f);
   fault::FaultInjector injector(fplan);
   api::ResilientOptions options;
-  options.engine = RouteEngine::Packed;
   options.faults = &injector;
   api::ResilientRouter router(n, options);
 
@@ -951,7 +948,6 @@ TEST(GroupFrontEnds, QueuedSwitchServesGroupsBesideCellTraffic) {
   GroupManager groups(n);
   traffic::QueuedMulticastSwitch::Config config;
   config.ports = n;
-  config.engine = RouteEngine::Packed;
   config.plan_cache = &cache;
   config.groups = &groups;
   traffic::QueuedMulticastSwitch sw(config);

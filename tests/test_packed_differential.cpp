@@ -603,6 +603,51 @@ TEST(PackedDifferential, ReplayHeatmapMatchesColdRoute) {
   EXPECT_EQ(cold.to_csv(), replayed.to_csv());
 }
 
+TEST(TagCensus, CountsMatchPlanePopcounts) {
+  // Every stored level (2..log2 n) and every block of each class count
+  // equals a direct popcount of the class plane over the block's lines,
+  // on every backend; one census is reused across sizes, as the compile
+  // workspace reuses it.
+  Rng rng(test_seed(9400));
+  for (const simd::Backend backend : simd::available_backends()) {
+    SCOPED_TRACE(simd::to_string(backend));
+    const simd::SimdOps& ops = simd::ops(backend);
+    packed::TagCensus census;
+    const packed::Words two_lines{rng.uniform(0, 3)};
+    EXPECT_NO_THROW(census.build(two_lines, two_lines, two_lines, 2, ops));
+    for (std::size_t n = 4; n <= 4096; n *= 2) {
+      SCOPED_TRACE("n = " + std::to_string(n));
+      const std::size_t wpl = packed::words_for(n);
+      packed::Words t0(wpl), t1(wpl), t2(wpl);
+      for (packed::Words* plane : {&t0, &t1, &t2}) {
+        for (auto& w : *plane) w = rng.engine()();
+        plane->back() &= packed::tail_mask(n);
+      }
+      census.build(t0, t1, t2, n, ops);
+      for (std::size_t w = 0; w < wpl; ++w) {
+        ASSERT_EQ(census.alpha()[w], t0[w] & ~t1[w]);
+        ASSERT_EQ(census.eps()[w], t0[w] & t1[w]);
+        ASSERT_EQ(census.ones()[w], t2[w]);
+      }
+      for (int j = 2; (std::size_t{1} << j) <= n; ++j) {
+        const std::size_t size = std::size_t{1} << j;
+        for (std::size_t b = 0; b < n / size; ++b) {
+          const std::size_t lo = b * size;
+          ASSERT_EQ(census.count_alpha(j, b),
+                    packed::plane_popcount(census.alpha(), lo, lo + size))
+              << "level " << j << " block " << b;
+          ASSERT_EQ(census.count_eps(j, b),
+                    packed::plane_popcount(census.eps(), lo, lo + size))
+              << "level " << j << " block " << b;
+          ASSERT_EQ(census.count_ones(j, b),
+                    packed::plane_popcount(census.ones(), lo, lo + size))
+              << "level " << j << " block " << b;
+        }
+      }
+    }
+  }
+}
+
 TEST(PackedDifferential, ParallelRouterComposesWorkerAndWordParallelism) {
   const std::size_t n = 64;
   Rng rng(test_seed(7500));
@@ -610,15 +655,18 @@ TEST(PackedDifferential, ParallelRouterComposesWorkerAndWordParallelism) {
   for (int t = 0; t < 16; ++t) {
     batch.push_back(random_multicast(n, 0.5, rng));
   }
-  api::ParallelRouter scalar_router(n, 4);
+  // The router's workers route packed; the scalar oracle routes the
+  // same batch serially.
   api::ParallelRouter packed_router(n, 4);
-  packed_router.set_engine(RouteEngine::Packed);
-  const auto scalar_results = scalar_router.route_batch(batch);
   const auto packed_results = packed_router.route_batch(batch);
-  ASSERT_EQ(scalar_results.size(), packed_results.size());
+  ASSERT_EQ(packed_results.size(), batch.size());
+  Brsmn scalar_net(n);
+  RouteOptions scalar_opts;
+  scalar_opts.engine = RouteEngine::Scalar;
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(scalar_results[i].delivered, packed_results[i].delivered);
-    expect_stats_eq(scalar_results[i].stats, packed_results[i].stats);
+    const RouteResult scalar = scalar_net.route(batch[i], scalar_opts);
+    EXPECT_EQ(scalar.delivered, packed_results[i].delivered);
+    expect_stats_eq(scalar.stats, packed_results[i].stats);
   }
 }
 

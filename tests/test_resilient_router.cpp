@@ -1,5 +1,5 @@
 // The resilient routing front-end: outcome classification, bounded
-// retry with backoff, the engine/implementation fallback ladder, fault
+// retry with backoff, the implementation fallback ladder, fault
 // counters, and the no-wrong-delivery guarantee under an exhaustive
 // stuck-switch sweep.
 #include "api/resilient_router.hpp"
@@ -231,25 +231,45 @@ TEST(ResilientRouter, CleanRouteDeliversOnPrimaryPath) {
 }
 
 TEST(ResilientRouter, LadderShape) {
-  ResilientOptions scalar_opts;
-  EXPECT_EQ(ResilientRouter(16, scalar_opts).ladder(),
-            (std::vector<RoutePath>{{RouteEngine::Scalar, false},
-                                    {RouteEngine::Scalar, true}}));
-
-  ResilientOptions packed_opts;
-  packed_opts.engine = RouteEngine::Packed;
-  EXPECT_EQ(ResilientRouter(16, packed_opts).ladder(),
-            (std::vector<RoutePath>{{RouteEngine::Packed, false},
-                                    {RouteEngine::Scalar, false},
-                                    {RouteEngine::Packed, true},
-                                    {RouteEngine::Scalar, true}}));
+  ResilientOptions default_opts;
+  EXPECT_EQ(ResilientRouter(16, default_opts).ladder(),
+            (std::vector<RoutePath>{{false}, {true}}));
 
   ResilientOptions no_fallback;
-  no_fallback.engine = RouteEngine::Packed;
-  no_fallback.retry.fallback_engine = false;
   no_fallback.retry.fallback_implementation = false;
   EXPECT_EQ(ResilientRouter(16, no_fallback).ladder(),
-            (std::vector<RoutePath>{{RouteEngine::Packed, false}}));
+            (std::vector<RoutePath>{{false}}));
+}
+
+TEST(ResilientRouter, ServiceRoutesRunPacked) {
+  // Every rung routes RouteEngine::Packed: a fault scoped to the scalar
+  // engine never fires on the service path, one scoped to the packed
+  // engine does.
+  const std::size_t n = 16;
+  const MulticastAssignment a = sweep_assignment(n);
+  fault::FaultSpec f = find_detected_site(n, a);
+
+  f.engine = RouteEngine::Scalar;
+  fault::FaultInjector scalar_injector(fault::FaultPlan{n, {f}});
+  ResilientOptions scalar_opts;
+  scalar_opts.faults = &scalar_injector;
+  ResilientRouter scalar_scoped(n, scalar_opts);
+  const RequestOutcome clean = scalar_scoped.route(a);
+  EXPECT_EQ(clean.outcome, RouteOutcome::Delivered);
+  EXPECT_EQ(clean.attempts, 1u);
+  EXPECT_EQ(scalar_scoped.faults_detected(), 0u);
+
+  f.engine = RouteEngine::Packed;
+  fault::FaultInjector packed_injector(fault::FaultPlan{n, {f}});
+  ResilientOptions packed_opts;
+  packed_opts.faults = &packed_injector;
+  ResilientRouter packed_scoped(n, packed_opts);
+  const RequestOutcome hit = packed_scoped.route(a);
+  EXPECT_GE(packed_scoped.faults_detected(), 1u);
+  EXPECT_GE(hit.attempts, 2u);
+  if (hit.result.has_value()) {
+    EXPECT_EQ(hit.result->delivered, expected_delivery(a));
+  }
 }
 
 TEST(ResilientRouter, TransientFaultRecoversOnRetry) {
@@ -273,7 +293,7 @@ TEST(ResilientRouter, TransientFaultRecoversOnRetry) {
   ASSERT_TRUE(out.result.has_value());
   EXPECT_EQ(out.result->delivered, expected_delivery(a));
   EXPECT_EQ(out.attempts, 2u);
-  EXPECT_EQ(out.path, (RoutePath{RouteEngine::Scalar, false}));
+  EXPECT_EQ(out.path, (RoutePath{false}));
   ASSERT_TRUE(out.report.has_value());
   EXPECT_EQ(router.faults_detected(), 1u);
   EXPECT_EQ(router.faults_recovered(), 1u);
@@ -304,7 +324,7 @@ TEST(ResilientRouter, ImplScopedFaultDegradesToFeedback) {
   ASSERT_TRUE(out.result.has_value());
   EXPECT_EQ(out.result->delivered, expected_delivery(a));
   EXPECT_EQ(out.attempts, 3u);  // 2 unrolled failures + 1 feedback success
-  EXPECT_EQ(out.path, (RoutePath{RouteEngine::Scalar, true}));
+  EXPECT_EQ(out.path, (RoutePath{true}));
   EXPECT_EQ(router.faults_detected(), 2u);
   EXPECT_EQ(router.faults_recovered(), 1u);
   EXPECT_EQ(router.degraded_deliveries(), 1u);
@@ -399,27 +419,6 @@ TEST(ResilientRouter, ExhaustiveStuckSweepNeverWrongDelivery) {
   }
   EXPECT_EQ(delivered + degraded + failed, 144u);
   EXPECT_GT(delivered, 0u);  // masked sites deliver on the primary path
-}
-
-TEST(ResilientRouter, PackedPrimaryFallsBackToScalarOnEngineScopedFault) {
-  // A fault bound to the packed engine: the packed attempts detect, the
-  // scalar-unrolled rung clears it — degraded, but still unrolled.
-  const std::size_t n = 16;
-  const MulticastAssignment a = sweep_assignment(n);
-  fault::FaultSpec f = find_detected_site(n, a);
-  f.engine = RouteEngine::Packed;
-
-  fault::FaultInjector injector(fault::FaultPlan{n, {f}});
-  ResilientOptions options;
-  options.engine = RouteEngine::Packed;
-  options.faults = &injector;
-  ResilientRouter router(n, options);
-
-  const RequestOutcome out = router.route(a);
-  EXPECT_EQ(out.outcome, RouteOutcome::DeliveredDegraded);
-  EXPECT_EQ(out.path, (RoutePath{RouteEngine::Scalar, false}));
-  ASSERT_TRUE(out.result.has_value());
-  EXPECT_EQ(out.result->delivered, expected_delivery(a));
 }
 
 TEST(ResilientRouter, BatchFastPathAndFaultedRerun) {

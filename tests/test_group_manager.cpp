@@ -310,6 +310,49 @@ TEST(GroupPatchEdge, AbandonsPastDirtyFraction) {
   EXPECT_GT(outcome.first_dirty_level, 0);
 }
 
+/// Patch from a base that shares no level with `target`: the empty
+/// assignment enters every level all-ε, so any target that routes one
+/// packet dirties every level. With max_dirty_fraction = 1.0 the walk
+/// then recompiles everything, and must equal a cold compile exactly:
+/// result, plan, explanation and the grids left in the fabric.
+template <typename Net>
+void check_all_dirty_patch(std::size_t n, const MulticastAssignment& target) {
+  Net net_cold(n);
+  Net net_patch(n);
+  RouteOptions opts;
+  opts.explain = true;
+  RoutePlan base_plan;
+  planner::compile_route(net_patch, MulticastAssignment(n), opts, base_plan);
+  RoutePlan cold_plan;
+  const RouteResult cold =
+      planner::compile_route(net_cold, target, opts, cold_plan);
+  RoutePlan patched_plan;
+  planner::PatchConfig config;
+  config.max_dirty_fraction = 1.0;
+  const planner::PatchOutcome outcome = planner::patch_route(
+      net_patch, target, base_plan, opts, patched_plan, config);
+  ASSERT_TRUE(outcome.patched);
+  EXPECT_EQ(outcome.levels_reused, 0u);
+  EXPECT_EQ(outcome.levels_recompiled, cold_plan.levels.size());
+  expect_results_eq(cold, outcome.result);
+  expect_plans_eq(patched_plan, cold_plan);
+  EXPECT_EQ(net_grids(net_patch), net_grids(net_cold));
+}
+
+TEST(GroupPatchEdge, AllDirtyPatchEqualsColdCompile) {
+  for (const std::size_t n : {4u, 8u, 16u, 32u, 64u}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    Rng rng(test_seed(9300 + n));
+    MulticastAssignment sparse = random_multicast(n, 0.5, rng);
+    if (!sparse.output_claimed(0)) sparse.connect(0, 0);  // never empty
+    for (const MulticastAssignment& target :
+         {sparse, broadcast_assignment(n, 4), decoy_assignment(n)}) {
+      check_all_dirty_patch<Brsmn>(n, target);
+      check_all_dirty_patch<FeedbackBrsmn>(n, target);
+    }
+  }
+}
+
 TEST(GroupPatchEdge, ExplainPatchNeedsExplainBase) {
   const std::size_t n = 8;
   Brsmn net(n);

@@ -5,15 +5,19 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <numeric>
 #include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "core/brsmn.hpp"
 #include "core/feedback.hpp"
+#include "core/route_plan.hpp"
 #include "obs/export.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/tracer.hpp"
 #include "sim/gate_model.hpp"
 
 namespace brsmn {
@@ -187,6 +191,221 @@ TEST(ObsConsistency, NullMetricsLeavesResultsUnchanged) {
     EXPECT_EQ(r1.stats.switch_traversals, r2.stats.switch_traversals);
     EXPECT_EQ(r1.stats.broadcast_ops, r2.stats.broadcast_ops);
   }
+}
+
+// --- the packed drivers' observable surface ------------------------------
+//
+// A cold compile, an incremental patch and a plan replay on each
+// implementation at n = 32, with a registry and a tracer attached: the
+// histogram names with their sample counts, the counter values and the
+// span nesting paths are pinned to literals, so a change to the packed
+// driver frame cannot silently move, drop or duplicate an observation.
+
+/// Every span's nesting path ("outer/inner"), with how often it opened.
+std::map<std::string, int> span_paths(const obs::Tracer& tracer) {
+  std::map<std::string, int> paths;
+  std::vector<std::string> stack;
+  for (const obs::CollectedEvent& e : tracer.collect()) {
+    if (e.kind == obs::TraceEventKind::Begin) {
+      stack.push_back(stack.empty() ? e.name : stack.back() + "/" + e.name);
+      ++paths[stack.back()];
+    } else if (e.kind == obs::TraceEventKind::End && !stack.empty()) {
+      stack.pop_back();
+    }
+  }
+  EXPECT_TRUE(stack.empty()) << "unbalanced spans";
+  return paths;
+}
+
+struct PackedSurface {
+  std::map<std::string, std::uint64_t> histogram_counts;
+  std::map<std::string, std::uint64_t> counters;
+  std::map<std::string, int> spans;
+};
+
+/// Cold-compile broadcast_assignment(32, 4), patch it to a one-member
+/// delta deep enough to leave the shallow levels clean, and replay the
+/// patched plan; return what the registry and the tracer saw.
+template <typename Net>
+PackedSurface packed_surface() {
+  constexpr std::size_t n = 32;
+  obs::MetricRegistry registry;
+  obs::Tracer tracer;
+  RouteOptions options;
+  options.metrics = &registry;
+  options.tracer = &tracer;
+
+  Net net(n);
+  const MulticastAssignment base = broadcast_assignment(n, 4);
+  MulticastAssignment after = base;
+  after.disconnect(1, 1);
+  after.connect(0, 1);
+  RoutePlan base_plan;
+  planner::compile_route(net, base, options, base_plan);
+  RoutePlan patched;
+  const planner::PatchOutcome outcome =
+      planner::patch_route(net, after, base_plan, options, patched);
+  EXPECT_TRUE(outcome.patched);
+  EXPECT_GE(outcome.levels_reused, 1u);
+  EXPECT_GE(outcome.levels_recompiled, 1u);
+  const RouteResult replay = net.route_replay(patched, options);
+  EXPECT_EQ(replay.delivered, outcome.result.delivered);
+
+  PackedSurface surface;
+  const obs::RegistrySnapshot snap = registry.snapshot();
+  for (const auto& [name, h] : snap.histograms) {
+    surface.histogram_counts[name] = h.count;
+  }
+  for (const auto& [name, value] : snap.counters) {
+    surface.counters[name] = value;
+  }
+  surface.spans = span_paths(tracer);
+  return surface;
+}
+
+/// The histograms (with sample counts) the three routes record: one
+/// total per route, scatter / ε-divide / quasisort configuration per
+/// compiled level (4 cold + 2 recompiled), datapath twice per routed
+/// level plus the final level (9 cold + 5 patch + 8 replay), and one
+/// patch and one replay.
+const std::map<std::string, std::uint64_t> kSurfaceHistograms = {
+    {"route.phase.datapath_ns", 22}, {"route.phase.eps_divide_ns", 6},
+    {"route.phase.patch_ns", 1},     {"route.phase.quasisort_ns", 6},
+    {"route.phase.replay_ns", 1},    {"route.phase.scatter_ns", 6},
+    {"route.phase.total_ns", 3},
+};
+
+void expect_surface(const PackedSurface& got,
+                    const std::map<std::string, std::uint64_t>& counters,
+                    const std::vector<std::string>& spans) {
+  if constexpr (!obs::kEnabled) {
+    EXPECT_TRUE(got.histogram_counts.empty());
+    EXPECT_TRUE(got.counters.empty());
+    EXPECT_TRUE(got.spans.empty());
+    return;
+  }
+  EXPECT_EQ(got.histogram_counts, kSurfaceHistograms);
+  EXPECT_EQ(got.counters, counters);
+  std::map<std::string, int> expected_spans;
+  for (const std::string& path : spans) expected_spans[path] = 1;
+  EXPECT_EQ(got.spans, expected_spans);
+}
+
+TEST(PackedDriverSurface, UnrolledColdPatchReplay) {
+  // The patch reuses levels 1-2 (bare level spans) and recompiles 3-4;
+  // the replay opens only its own span.
+  expect_surface(
+      packed_surface<Brsmn>(),
+      {{"route.broadcast_ops", 84},
+       {"route.fabric_passes", 0},
+       {"route.gate_delay", 750},
+       {"route.routes", 3},
+       {"route.switch_traversals", 1392},
+       {"route.tree_bwd_ops", 1017},
+       {"route.tree_fwd_ops", 1017}},
+      {
+      "brsmn.route",
+      "brsmn.route/level.1",
+      "brsmn.route/level.1/bsn.scatter.config",
+      "brsmn.route/level.1/bsn.scatter.datapath",
+      "brsmn.route/level.1/bsn.eps_divide",
+      "brsmn.route/level.1/bsn.quasisort.config",
+      "brsmn.route/level.1/bsn.quasisort.datapath",
+      "brsmn.route/level.2",
+      "brsmn.route/level.2/bsn.scatter.config",
+      "brsmn.route/level.2/bsn.scatter.datapath",
+      "brsmn.route/level.2/bsn.eps_divide",
+      "brsmn.route/level.2/bsn.quasisort.config",
+      "brsmn.route/level.2/bsn.quasisort.datapath",
+      "brsmn.route/level.3",
+      "brsmn.route/level.3/bsn.scatter.config",
+      "brsmn.route/level.3/bsn.scatter.datapath",
+      "brsmn.route/level.3/bsn.eps_divide",
+      "brsmn.route/level.3/bsn.quasisort.config",
+      "brsmn.route/level.3/bsn.quasisort.datapath",
+      "brsmn.route/level.4",
+      "brsmn.route/level.4/bsn.scatter.config",
+      "brsmn.route/level.4/bsn.scatter.datapath",
+      "brsmn.route/level.4/bsn.eps_divide",
+      "brsmn.route/level.4/bsn.quasisort.config",
+      "brsmn.route/level.4/bsn.quasisort.datapath",
+      "brsmn.route/level.final",
+      "plan.patch",
+      "plan.patch/level.1",
+      "plan.patch/level.2",
+      "plan.patch/level.3",
+      "plan.patch/level.3/bsn.scatter.config",
+      "plan.patch/level.3/bsn.scatter.datapath",
+      "plan.patch/level.3/bsn.eps_divide",
+      "plan.patch/level.3/bsn.quasisort.config",
+      "plan.patch/level.3/bsn.quasisort.datapath",
+      "plan.patch/level.4",
+      "plan.patch/level.4/bsn.scatter.config",
+      "plan.patch/level.4/bsn.scatter.datapath",
+      "plan.patch/level.4/bsn.eps_divide",
+      "plan.patch/level.4/bsn.quasisort.config",
+      "plan.patch/level.4/bsn.quasisort.datapath",
+      "plan.patch/level.final",
+      "plan.replay",
+      });
+}
+
+TEST(PackedDriverSurface, FeedbackColdPatchReplay) {
+  // Same shape; the feedback ε-divide nests inside its quasisort config.
+  expect_surface(
+      packed_surface<FeedbackBrsmn>(),
+      {{"route.broadcast_ops", 84},
+       {"route.fabric_passes", 27},
+       {"route.gate_delay", 822},
+       {"route.routes", 3},
+       {"route.switch_traversals", 1968},
+       {"route.tree_bwd_ops", 1017},
+       {"route.tree_fwd_ops", 1017}},
+      {
+      "feedback.route",
+      "feedback.route/level.1",
+      "feedback.route/level.1/fb.scatter.config",
+      "feedback.route/level.1/fb.scatter.datapath",
+      "feedback.route/level.1/fb.quasisort.config",
+      "feedback.route/level.1/fb.quasisort.config/fb.eps_divide",
+      "feedback.route/level.1/fb.quasisort.datapath",
+      "feedback.route/level.2",
+      "feedback.route/level.2/fb.scatter.config",
+      "feedback.route/level.2/fb.scatter.datapath",
+      "feedback.route/level.2/fb.quasisort.config",
+      "feedback.route/level.2/fb.quasisort.config/fb.eps_divide",
+      "feedback.route/level.2/fb.quasisort.datapath",
+      "feedback.route/level.3",
+      "feedback.route/level.3/fb.scatter.config",
+      "feedback.route/level.3/fb.scatter.datapath",
+      "feedback.route/level.3/fb.quasisort.config",
+      "feedback.route/level.3/fb.quasisort.config/fb.eps_divide",
+      "feedback.route/level.3/fb.quasisort.datapath",
+      "feedback.route/level.4",
+      "feedback.route/level.4/fb.scatter.config",
+      "feedback.route/level.4/fb.scatter.datapath",
+      "feedback.route/level.4/fb.quasisort.config",
+      "feedback.route/level.4/fb.quasisort.config/fb.eps_divide",
+      "feedback.route/level.4/fb.quasisort.datapath",
+      "feedback.route/level.final",
+      "plan.patch",
+      "plan.patch/level.1",
+      "plan.patch/level.2",
+      "plan.patch/level.3",
+      "plan.patch/level.3/fb.scatter.config",
+      "plan.patch/level.3/fb.scatter.datapath",
+      "plan.patch/level.3/fb.quasisort.config",
+      "plan.patch/level.3/fb.quasisort.config/fb.eps_divide",
+      "plan.patch/level.3/fb.quasisort.datapath",
+      "plan.patch/level.4",
+      "plan.patch/level.4/fb.scatter.config",
+      "plan.patch/level.4/fb.scatter.datapath",
+      "plan.patch/level.4/fb.quasisort.config",
+      "plan.patch/level.4/fb.quasisort.config/fb.eps_divide",
+      "plan.patch/level.4/fb.quasisort.datapath",
+      "plan.patch/level.final",
+      "plan.replay",
+      });
 }
 
 }  // namespace

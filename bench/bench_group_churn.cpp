@@ -1,19 +1,22 @@
 // Incremental plan patching vs cold compilation under group churn
 // (api/group_manager.hpp, core/route_plan.hpp).
 //
-// The paired families apply the same single-member deltas to a
-// broadcast base: group_churn.cold.* compiles the post-delta assignment
-// from scratch, group_churn.patch.* patches the base plan instead
-// (recompiling only the levels the delta dirtied), and
-// group_churn.patched_replay.* replays the patched plans — the
-// steady-state serving cost once a delta's plan exists. One
-// --metrics-out dump carries all three, so tools/bench_diff can gate
-// the ratios:
+// BM_GroupChurn applies the same single-member deltas to a broadcast
+// base three ways per iteration: group_churn.cold.* compiles the
+// post-delta assignment from scratch, group_churn.patch.* patches the
+// base plan instead (recompiling only the levels the delta dirtied), and
+// group_churn.patched_replay.* replays the variant's patched plan — the
+// steady-state serving cost once a delta's plan exists. The three run
+// back to back on the same variant, in an order that flips every
+// iteration, so the quotients of their p50s see the same stretch of the
+// process (clock, cache and co-tenant drift cancel) and neither side of
+// a ratio always runs on caches the other just warmed. One --metrics-out
+// dump carries all three, so tools/bench_diff can gate the ratios:
 //   group_churn.patched_replay.phase.replay_ns/group_churn.cold.phase.total_ns:p50
 //   group_churn.patch.phase.total_ns/group_churn.cold.phase.total_ns:p50
 // (the CI bounds at n=1024 are 0.5 for a patched plan's replay vs a
 // cold compile and 0.8 for the patch construction itself — see
-// docs/PERFORMANCE.md). The patch family also exports
+// docs/PERFORMANCE.md). The family also exports
 // group_churn.patch.levels_{reused,recompiled} counters, so a gate
 // regression can be attributed: a ratio that drifts up with reuse
 // intact is a patch-driver slowdown, one with reuse gone is a
@@ -103,64 +106,17 @@ std::vector<brsmn::MulticastAssignment> churn_variants(std::size_t n) {
   return variants;
 }
 
-// --- paired families: cold compile vs incremental patch -------------------
+// --- one paired family: cold compile, patch and patched replay -----------
 
-void BM_GroupChurnColdCompile(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  brsmn::Brsmn net(n);
-  const auto variants = churn_variants(n);
-  const auto options = family_options("group_churn.cold");
-  brsmn::RoutePlan plan;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    auto result = brsmn::planner::compile_route(
-        net, variants[i++ % variants.size()], options, plan);
-    benchmark::DoNotOptimize(result);
-  }
-}
-BENCHMARK(BM_GroupChurnColdCompile)->RangeMultiplier(4)->Range(64, 1024);
-
-void BM_GroupChurnPatch(benchmark::State& state) {
+void BM_GroupChurn(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   brsmn::Brsmn net(n);
   const auto base = churn_base(n);
   const auto variants = churn_variants(n);
   brsmn::RoutePlan base_plan;
   brsmn::planner::compile_route(net, base, {}, base_plan);
-  const auto options = family_options("group_churn.patch");
-  brsmn::RoutePlan patched;
-  std::size_t reused = 0;
-  std::size_t recompiled = 0;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const auto outcome = brsmn::planner::patch_route(
-        net, variants[i++ % variants.size()], base_plan, options, patched,
-        {});
-    reused += outcome.levels_reused;
-    recompiled += outcome.levels_recompiled;
-    benchmark::DoNotOptimize(outcome);
-  }
-  state.counters["levels_reused_per_patch"] =
-      benchmark::Counter(static_cast<double>(reused) /
-                         static_cast<double>(state.iterations()));
-  if (g_metrics != nullptr) {
-    g_metrics->counter("group_churn.patch.levels_reused").add(reused);
-    g_metrics->counter("group_churn.patch.levels_recompiled").add(recompiled);
-  }
-}
-BENCHMARK(BM_GroupChurnPatch)->RangeMultiplier(4)->Range(64, 1024);
-
-// Replay of patched plans: every variant's plan is patched from the base
-// once up front, then the loop replays them round-robin — the cost of
-// serving a group's traffic after its delta has been absorbed, which is
-// what the ISSUE gate bounds at 0.5x a cold compile.
-void BM_GroupChurnPatchedReplay(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  brsmn::Brsmn net(n);
-  const auto base = churn_base(n);
-  const auto variants = churn_variants(n);
-  brsmn::RoutePlan base_plan;
-  brsmn::planner::compile_route(net, base, {}, base_plan);
+  // The replayed plans: every variant patched from the base once up
+  // front.
   std::vector<brsmn::RoutePlan> patched(variants.size());
   for (std::size_t v = 0; v < variants.size(); ++v) {
     const auto outcome = brsmn::planner::patch_route(
@@ -170,16 +126,55 @@ void BM_GroupChurnPatchedReplay(benchmark::State& state) {
       return;
     }
   }
-  const auto options = family_options("group_churn.patched_replay");
+  const auto cold_options = family_options("group_churn.cold");
+  const auto patch_options = family_options("group_churn.patch");
+  const auto replay_options = family_options("group_churn.patched_replay");
+  brsmn::RoutePlan cold_plan;
+  brsmn::RoutePlan patch_plan;
   brsmn::RouteResult out;
-  net.route_replay_into(patched[0], options, out);  // size the workspace
+  net.route_replay_into(patched[0], {}, out);  // size the workspace
+  std::size_t reused = 0;
+  std::size_t recompiled = 0;
   std::size_t i = 0;
   for (auto _ : state) {
-    net.route_replay_into(patched[i++ % patched.size()], options, out);
-    benchmark::DoNotOptimize(out);
+    // Each variant runs twice in a row, once per order.
+    const std::size_t v = (i / 2) % variants.size();
+    const bool cold_first = i % 2 == 0;
+    ++i;
+    const auto cold = [&] {
+      auto result = brsmn::planner::compile_route(net, variants[v],
+                                                  cold_options, cold_plan);
+      benchmark::DoNotOptimize(result);
+    };
+    const auto replay = [&] {
+      net.route_replay_into(patched[v], replay_options, out);
+      benchmark::DoNotOptimize(out);
+    };
+    if (cold_first) {
+      cold();
+    } else {
+      replay();
+    }
+    const auto outcome = brsmn::planner::patch_route(
+        net, variants[v], base_plan, patch_options, patch_plan, {});
+    reused += outcome.levels_reused;
+    recompiled += outcome.levels_recompiled;
+    benchmark::DoNotOptimize(outcome);
+    if (cold_first) {
+      replay();
+    } else {
+      cold();
+    }
+  }
+  state.counters["levels_reused_per_patch"] =
+      benchmark::Counter(static_cast<double>(reused) /
+                         static_cast<double>(state.iterations()));
+  if (g_metrics != nullptr) {
+    g_metrics->counter("group_churn.patch.levels_reused").add(reused);
+    g_metrics->counter("group_churn.patch.levels_recompiled").add(recompiled);
   }
 }
-BENCHMARK(BM_GroupChurnPatchedReplay)->RangeMultiplier(4)->Range(64, 1024);
+BENCHMARK(BM_GroupChurn)->RangeMultiplier(4)->Range(64, 1024);
 
 // --- the live registry under a churn stream -------------------------------
 

@@ -43,24 +43,14 @@ class PlanCache;
 namespace brsmn::pkern {
 struct ReplayWorkspace;
 struct CompileWorkspace;
+struct UnrolledFabric;
+struct FeedbackFabric;
 }  // namespace brsmn::pkern
 
 namespace brsmn {
 
 struct RoutePlan;
-class Brsmn;
-struct RouteOptions;
 class MulticastAssignment;
-
-namespace planner {
-struct PatchConfig;
-struct PatchOutcome;
-/// Incremental recompilation (core/route_plan.hpp); declared here so the
-/// patch driver can be befriended like packed_route.
-PatchOutcome patch_route(Brsmn& net, const MulticastAssignment& assignment,
-                         const RoutePlan& base, const RouteOptions& options,
-                         RoutePlan& out, const PatchConfig& config);
-}  // namespace planner
 
 /// Which datapath implementation executes the route. Both produce
 /// bit-identical results (outputs, fabric settings grids, explanations,
@@ -250,20 +240,11 @@ class Brsmn {
   const std::vector<Bsn>& level_bsns(int level) const;
 
  private:
-  /// The packed engine's entry point (core/packed_kernel.cpp); it installs
-  /// the computed settings into levels_ so level_bsns() inspection sees
-  /// the same grids the scalar engine would have produced. A non-null
-  /// `plan` additionally captures the compiled route plan.
-  friend RouteResult packed_route(Brsmn& net,
-                                  const MulticastAssignment& assignment,
-                                  const RouteOptions& options,
-                                  RoutePlan* plan);
-  /// The incremental recompiler (also core/packed_kernel.cpp) reuses the
-  /// same per-level install paths into levels_.
-  friend planner::PatchOutcome planner::patch_route(
-      Brsmn& net, const MulticastAssignment& assignment, const RoutePlan& base,
-      const RouteOptions& options, RoutePlan& out,
-      const planner::PatchConfig& config);
+  /// The packed engines' binding (core/fabric_binding.hpp): the packed
+  /// compile, patch and replay install their settings into levels_
+  /// through it, so level_bsns() inspection sees the same grids the
+  /// scalar engine would have produced.
+  friend struct pkern::UnrolledFabric;
 
   std::size_t n_;
   int m_;
@@ -271,7 +252,7 @@ class Brsmn {
   /// Lazily created by route_replay; owning it here keeps steady-state
   /// replay allocation-free.
   std::unique_ptr<pkern::ReplayWorkspace> replay_ws_;
-  /// Lazily created by packed_route / patch_route: the compile hot
+  /// Lazily created by the packed compile and patch: the compile hot
   /// path's reusable kernel + census scratch, so warm compiles allocate
   /// nothing in the per-level loops.
   std::unique_ptr<pkern::CompileWorkspace> compile_ws_;

@@ -19,15 +19,6 @@
 
 namespace brsmn {
 
-class FeedbackBrsmn;
-
-namespace planner {
-PatchOutcome patch_route(FeedbackBrsmn& net,
-                         const MulticastAssignment& assignment,
-                         const RoutePlan& base, const RouteOptions& options,
-                         RoutePlan& out, const PatchConfig& config);
-}  // namespace planner
-
 class FeedbackBrsmn {
  public:
   /// An n x n feedback BRSMN, n a power of two >= 2.
@@ -73,25 +64,16 @@ class FeedbackBrsmn {
   const Rbn& fabric() const noexcept { return fabric_; }
 
  private:
-  /// The packed engine's entry point (core/packed_kernel.cpp); it installs
-  /// each pass's settings into fabric_ so fabric() inspection sees the
-  /// last pass's grid exactly as the scalar engine leaves it. A non-null
-  /// `plan` additionally captures the compiled route plan.
-  friend RouteResult packed_route(FeedbackBrsmn& net,
-                                  const MulticastAssignment& assignment,
-                                  const RouteOptions& options,
-                                  RoutePlan* plan);
-  /// The incremental recompiler (also core/packed_kernel.cpp) reuses the
-  /// same per-pass install paths into fabric_.
-  friend planner::PatchOutcome planner::patch_route(
-      FeedbackBrsmn& net, const MulticastAssignment& assignment,
-      const RoutePlan& base, const RouteOptions& options, RoutePlan& out,
-      const planner::PatchConfig& config);
+  /// The packed engines' binding (core/fabric_binding.hpp): the packed
+  /// compile, patch and replay install each pass's settings into fabric_
+  /// through it, so fabric() inspection sees the last pass's grid exactly
+  /// as the scalar engine leaves it.
+  friend struct pkern::FeedbackFabric;
 
   Rbn fabric_;
   /// Lazily created by route_replay (see Brsmn::replay_ws_).
   std::unique_ptr<pkern::ReplayWorkspace> replay_ws_;
-  /// Lazily created by packed_route / patch_route (see
+  /// Lazily created by the packed compile and patch (see
   /// Brsmn::compile_ws_).
   std::unique_ptr<pkern::CompileWorkspace> compile_ws_;
 };

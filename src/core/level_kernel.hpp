@@ -230,7 +230,7 @@ struct ReplayWorkspace {
 /// the SoA tag censuses, the ε0 selection plane, the scatter type tree
 /// (flat from level 2, level j at offset n/2 - n/2^(j-1)), the
 /// backward-sweep run starts, the per-block entry tallies, the decoded
-/// settings row, the line records with their gather double buffer and
+/// settings rows, the line records with their gather double buffer and
 /// destination array, and the final level's heads and sources.
 /// First route allocates once; warm compiles reuse everything.
 struct CompileWorkspace {
@@ -254,8 +254,9 @@ struct CompileWorkspace {
   /// the array LineRecord ranges index.
   std::vector<std::uint32_t> dests;
   std::vector<std::uint8_t> side_done;    ///< per-event first-copy latch
-  /// One stage's decoded settings row (n/2) when no plan row takes it.
-  std::vector<SwitchSetting> row;
+  /// One pass's decoded settings rows (m rows of n/2; a level uses the
+  /// first S) when no plan's rows take them.
+  std::vector<std::vector<SwitchSetting>> rows;
   /// The final level's head tags and sources.
   std::vector<Tag> heads;
   std::vector<std::size_t> sources;
@@ -263,7 +264,7 @@ struct CompileWorkspace {
   CompileWorkspace(std::size_t n, int m)
       : kx(n, m, m),
         eps0_sel(packed::words_for(n), 0),
-        row(n / 2),
+        rows(static_cast<std::size_t>(m), std::vector<SwitchSetting>(n / 2)),
         heads(n),
         sources(n) {
     lines.reserve(n);

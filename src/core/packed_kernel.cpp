@@ -4,13 +4,17 @@
 #include <bit>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <numeric>
+#include <optional>
+#include <string_view>
 
 #include "common/bits.hpp"
 #include "common/contracts.hpp"
 #include "core/block_tables.hpp"
 #include "core/brsmn.hpp"
+#include "core/fabric_binding.hpp"
 #include "core/feedback.hpp"
 #include "core/level_kernel.hpp"
 #include "core/merge_lemmas.hpp"
@@ -295,7 +299,8 @@ void select_prefix(std::span<const std::uint64_t> plane,
 }  // namespace brsmn::packed
 
 // ---------------------------------------------------------------------------
-// The packed route drivers. Both engines run the same per-level kernel:
+// The packed driver frame. Both implementations run the same per-level
+// kernel through one level loop (drive_packed, over a fabric binding):
 // line state is transposed into bit-planes (a code identifying the packet
 // plus the 3-bit tag encoding of Table 1), every configuration decision of
 // the scalar algorithms is reproduced through the shared plan functions
@@ -1159,79 +1164,59 @@ obs::TraceSpan level_span(obs::Tracer* tracer, int k) {
   return obs::TraceSpan(tracer, label);
 }
 
-/// Stage j's level-wide settings row, decoded from the pass's configured
-/// masks: into the plan's row when a plan is being compiled (`plan_rows`
-/// sized to the level's stage count), else into the workspace row.
-std::span<const SwitchSetting> decode_row(
-    pkern::CompileWorkspace& ws, int j,
+/// The configured pass's S stage rows, decoded from its masks: into the
+/// plan's rows when a plan is being compiled (`plan_rows`, resized to S),
+/// else into the workspace's rows.
+pkern::SettingRows decode_rows(
+    pkern::CompileWorkspace& ws,
     std::vector<std::vector<SwitchSetting>>* plan_rows) {
-  std::vector<SwitchSetting>& row =
-      plan_rows != nullptr ? (*plan_rows)[static_cast<std::size_t>(j - 1)]
-                           : ws.row;
-  row.resize(ws.kx.n / 2);
-  pkern::decode_stage_settings(ws.kx.masks[static_cast<std::size_t>(j - 1)],
-                               j, ws.kx.n, row);
-  return row;
-}
-
-/// Install a level-wide stage-j row into one pass's BSN fabrics: each BSN
-/// owns the row's contiguous 2^(S-1)-wide slice, so this is one copy per
-/// BSN.
-void install_bsn_stage(std::vector<Bsn>& level, PassKind pass, int j,
-                       std::span<const SwitchSetting> row) {
-  const std::size_t bsn_row = row.size() / level.size();
-  for (std::size_t bb = 0; bb < level.size(); ++bb) {
-    Rbn& fabric = pass == PassKind::Scatter
-                      ? level[bb].mutable_scatter_fabric()
-                      : level[bb].mutable_quasisort_fabric();
-    fabric.install_stage(j, row.subspan(bb * bsn_row, bsn_row));
+  const auto S = static_cast<std::size_t>(ws.kx.stages);
+  if (plan_rows != nullptr) plan_rows->resize(S);
+  auto& rows = plan_rows != nullptr ? *plan_rows : ws.rows;
+  for (std::size_t j = 0; j < S; ++j) {
+    rows[j].resize(ws.kx.n / 2);
+    pkern::decode_stage_settings(ws.kx.masks[j], static_cast<int>(j + 1),
+                                 ws.kx.n, rows[j]);
   }
+  return pkern::SettingRows(rows).first(S);
 }
 
-/// Decode one configured pass into the level's BSN fabrics (and the
-/// plan's rows, when compiling one).
-void install_pass_unrolled(std::vector<Bsn>& level, PassKind pass,
-                           pkern::CompileWorkspace& ws,
-                           std::vector<std::vector<SwitchSetting>>* plan_rows) {
-  const int S = ws.kx.stages;
-  if (plan_rows != nullptr) plan_rows->resize(static_cast<std::size_t>(S));
-  for (int j = 1; j <= S; ++j) {
-    install_bsn_stage(level, pass, j, decode_row(ws, j, plan_rows));
-  }
-}
+}  // namespace
 
-/// Decode one configured pass into the (freshly reset) feedback fabric
-/// (and the plan's rows, when compiling one).
-void install_pass_feedback(Rbn& fabric, pkern::CompileWorkspace& ws,
-                           std::vector<std::vector<SwitchSetting>>* plan_rows) {
-  const int S = ws.kx.stages;
-  if (plan_rows != nullptr) plan_rows->resize(static_cast<std::size_t>(S));
-  for (int j = 1; j <= S; ++j) {
-    fabric.install_stage(j, decode_row(ws, j, plan_rows));
-  }
-}
+/// One packed route's state, shared by the driver frame and the level
+/// bodies.
+struct pkern::RouteFrame {
+  std::size_t n;
+  int m;
+  CompileWorkspace& ws;
+  const RouteOptions& options;
+  obs::RouteProbe& probe;
+  RouteResult& result;
+  bool checking;
+  std::uint64_t route_ord;
+  std::uint64_t next_copy_id = 1;
+};
 
-/// The body of one unrolled switch level — scatter pass, quasisort pass,
-/// gather — exactly as packed_route's level loop runs it. Shared with
-/// planner::patch_route so a recompiled level of a patched plan goes
-/// through the identical code path as a cold compile. The caller owns the
-/// kernel construction (load_lines) and, when compiling a plan, the
-/// PlanLevel's entry-plane capture.
-void compile_level_unrolled(std::vector<Bsn>& level, std::size_t n, int k,
-                            pkern::CompileWorkspace& ws,
-                            std::uint64_t& next_copy_id, PlanLevel* pl,
-                            RouteResult& result, const RouteOptions& options,
-                            obs::RouteProbe& probe, bool checking,
-                            std::uint64_t route_ord) {
+/// The unrolled level body — scatter pass, quasisort pass, gather — over
+/// level k's BSN fabrics. The frame owns the kernel load (load_lines),
+/// the level span and, when compiling a plan, the PlanLevel's entry-plane
+/// capture.
+void pkern::UnrolledFabric::compile_level(RouteFrame& f, int k,
+                                          PlanLevel* pl) {
+  const std::size_t n = f.n;
+  CompileWorkspace& ws = f.ws;
+  RouteResult& result = f.result;
+  obs::RouteProbe& probe = f.probe;
+  const bool checking = f.checking;
+  const std::uint64_t route_ord = f.route_ord;
   LevelKernel& kx = ws.kx;
   const RoutingStats entry_stats = result.stats;
   const std::size_t splits_before = result.stats.broadcast_ops;
   const int S = kx.stages;
   const std::size_t bsn_size = std::size_t{1} << S;
-  obs::TraceSpan span = level_span(probe.tracer, k);
   PassExplanation* scatter_pass = nullptr;
   PassExplanation* quasi_pass = nullptr;
-  if (options.explain) {
+  if (f.options.explain) {
     auto& passes = result.explanation->passes;
     passes.push_back(make_pass(k, PassKind::Scatter, n, S));
     passes.push_back(make_pass(k, PassKind::Quasisort, n, S));
@@ -1240,14 +1225,7 @@ void compile_level_unrolled(std::vector<Bsn>& level, std::size_t n, int k,
   }
   const ExplainSink scatter_sink{scatter_pass, 0};
   const ExplainSink quasi_sink{quasi_pass, 0};
-  fault::PassSeam seam;
-  seam.injector = options.faults;
-  seam.activity = options.fault_activity;
-  seam.route = route_ord;
-  seam.net_width = n;
-  seam.level = k;
-  seam.impl = fault::ImplKind::Unrolled;
-  seam.engine = RouteEngine::Packed;
+  const fault::PassSeam seam = packed_seam(f.options, route_ord, n, k, kImpl);
 
   if (scatter_pass != nullptr) {
     scatter_sink.record_input_tags(materialize_tags(kx, /*collapse=*/true));
@@ -1284,8 +1262,8 @@ void compile_level_unrolled(std::vector<Bsn>& level, std::size_t n, int k,
     configure_scatter_packed(
         ws, census, &result.stats,
         scatter_pass != nullptr ? &scatter_sink : nullptr);
-    install_pass_unrolled(level, PassKind::Scatter, ws,
-                          pl != nullptr ? &pl->scatter_settings : nullptr);
+    install(PassKind::Scatter, k,
+            decode_rows(ws, pl != nullptr ? &pl->scatter_settings : nullptr));
     scatter_scope.end();
     // A BSN root whose α count exceeds its ε count would be α-typed
     // with a nonzero surplus.
@@ -1295,11 +1273,11 @@ void compile_level_unrolled(std::vector<Bsn>& level, std::size_t n, int k,
     }
   });
   if (pl != nullptr) capture_stage_masks(kx, pl->scatter_masks);
-  seam.apply_unrolled_packed(level, PassKind::Scatter, kx.masks);
+  apply_seam(seam, PassKind::Scatter, kx.masks);
 
   pk::TagCensus& mid = ws.mid;
   fault::guard(checking, n, route_ord, k, PassKind::Scatter, true, [&] {
-    finalize_events(kx, /*bsn_block_major=*/true, next_copy_id,
+    finalize_events(kx, /*bsn_block_major=*/true, f.next_copy_id,
                     &result.stats);
     obs::PhaseScope scatter_data_scope(probe, obs::Phase::Datapath,
                                        "bsn.scatter.datapath");
@@ -1350,15 +1328,15 @@ void compile_level_unrolled(std::vector<Bsn>& level, std::size_t n, int k,
     configure_quasisort_packed(
         ws, divided, &result.stats,
         quasi_pass != nullptr ? &quasi_sink : nullptr);
-    install_pass_unrolled(level, PassKind::Quasisort, ws,
-                          pl != nullptr ? &pl->quasisort_settings : nullptr);
+    install(PassKind::Quasisort, k,
+            decode_rows(ws, pl != nullptr ? &pl->quasisort_settings : nullptr));
     quasisort_scope.end();
   });
   if (pl != nullptr) {
     pl->divided_t2.assign(kx.tag_plane(2).begin(), kx.tag_plane(2).end());
     capture_stage_masks(kx, pl->quasisort_masks);
   }
-  seam.apply_unrolled_packed(level, PassKind::Quasisort, kx.masks);
+  apply_seam(seam, PassKind::Quasisort, kx.masks);
 
   fault::guard(checking, n, route_ord, k, PassKind::Quasisort, true, [&] {
     obs::PhaseScope sort_data_scope(probe, obs::Phase::Datapath,
@@ -1394,38 +1372,36 @@ void compile_level_unrolled(std::vector<Bsn>& level, std::size_t n, int k,
   if (pl != nullptr) pl->stats_delta = stats_diff(result.stats, entry_stats);
 }
 
-/// The body of one feedback level (passes 2k-1 and 2k over the physical
-/// fabric), shared with planner::patch_route like compile_level_unrolled.
-void compile_level_feedback(Rbn& fabric, std::size_t n, int m, int k,
-                            pkern::CompileWorkspace& ws,
-                            std::uint64_t& next_copy_id, PlanLevel* pl,
-                            RouteResult& result, const RouteOptions& options,
-                            obs::RouteProbe& probe, bool checking,
-                            std::uint64_t route_ord) {
+/// The feedback level body: passes 2k-1 and 2k over the physical fabric,
+/// each reset first and charged as a full m-stage traversal.
+void pkern::FeedbackFabric::compile_level(RouteFrame& f, int k,
+                                          PlanLevel* pl) {
+  const std::size_t n = f.n;
+  const int m = f.m;
+  CompileWorkspace& ws = f.ws;
+  RouteResult& result = f.result;
+  obs::RouteProbe& probe = f.probe;
+  const bool checking = f.checking;
+  const std::uint64_t route_ord = f.route_ord;
+  Rbn& fabric = net.fabric_;
   LevelKernel& kx = ws.kx;
   const RoutingStats entry_stats = result.stats;
   const std::size_t splits_before = result.stats.broadcast_ops;
   const int top_stage = kx.stages;  // level-k BSN size is 2^top_stage
-  obs::TraceSpan span = level_span(probe.tracer, k);
   ExplainSink scatter_sink;
   ExplainSink quasi_sink;
-  if (options.explain) {
+  if (f.options.explain) {
     auto& passes = result.explanation->passes;
     passes.push_back(make_pass(k, PassKind::Scatter, n, top_stage));
     passes.push_back(make_pass(k, PassKind::Quasisort, n, top_stage));
     scatter_sink.pass = &passes[passes.size() - 2];
     quasi_sink.pass = &passes.back();
   }
-  fault::PassSeam seam;
-  seam.injector = options.faults;
-  seam.activity = options.fault_activity;
-  seam.route = route_ord;
-  seam.net_width = n;
-  seam.level = k;
-  seam.impl = fault::ImplKind::Feedback;
-  seam.engine = RouteEngine::Packed;
+  const fault::PassSeam seam = packed_seam(f.options, route_ord, n, k, kImpl);
 
-  // Pass 2k-1: the fabric acts as the level-k scatter networks.
+  // Pass 2k-1: the fabric acts as the level-k scatter networks. The
+  // fabric is cleared before configuring, so a detection before the
+  // install localizes against a cleared grid (fault/locate.cpp).
   fault::guard(checking, n, route_ord, k, PassKind::Scatter, false, [&] {
     fabric.reset();
     if (scatter_sink.pass != nullptr) {
@@ -1437,13 +1413,13 @@ void compile_level_feedback(Rbn& fabric, std::size_t n, int m, int k,
     configure_scatter_packed(
         ws, ws.census, &result.stats,
         scatter_sink.pass != nullptr ? &scatter_sink : nullptr);
-    install_pass_feedback(fabric, ws,
-                          pl != nullptr ? &pl->scatter_settings : nullptr);
+    install(PassKind::Scatter, k,
+            decode_rows(ws, pl != nullptr ? &pl->scatter_settings : nullptr));
   });
   if (pl != nullptr) capture_stage_masks(kx, pl->scatter_masks);
-  seam.apply_full_packed(fabric, PassKind::Scatter, kx.masks);
+  apply_seam(seam, PassKind::Scatter, kx.masks);
   fault::guard(checking, n, route_ord, k, PassKind::Scatter, true, [&] {
-    finalize_events(kx, /*bsn_block_major=*/false, next_copy_id,
+    finalize_events(kx, /*bsn_block_major=*/false, f.next_copy_id,
                     &result.stats);
     const obs::PhaseScope scatter_data_scope(probe, obs::Phase::Datapath,
                                              "fb.scatter.datapath");
@@ -1487,14 +1463,14 @@ void compile_level_feedback(Rbn& fabric, std::size_t n, int m, int k,
     configure_quasisort_packed(
         ws, ws.divided, &result.stats,
         quasi_sink.pass != nullptr ? &quasi_sink : nullptr);
-    install_pass_feedback(fabric, ws,
-                          pl != nullptr ? &pl->quasisort_settings : nullptr);
+    install(PassKind::Quasisort, k,
+            decode_rows(ws, pl != nullptr ? &pl->quasisort_settings : nullptr));
   });
   if (pl != nullptr) {
     pl->divided_t2.assign(kx.tag_plane(2).begin(), kx.tag_plane(2).end());
     capture_stage_masks(kx, pl->quasisort_masks);
   }
-  seam.apply_full_packed(fabric, PassKind::Quasisort, kx.masks);
+  apply_seam(seam, PassKind::Quasisort, kx.masks);
   fault::guard(checking, n, route_ord, k, PassKind::Quasisort, true, [&] {
     const obs::PhaseScope sort_data_scope(probe, obs::Phase::Datapath,
                                           "fb.quasisort.datapath");
@@ -1516,362 +1492,92 @@ void compile_level_feedback(Rbn& fabric, std::size_t n, int m, int k,
   if (pl != nullptr) pl->stats_delta = stats_diff(result.stats, entry_stats);
 }
 
-/// The implementation-agnostic half of adopting a stored level during a
-/// patch: restore the post-quasisort checkpoint and event bookkeeping,
+namespace {
+
+/// Adopt one stored level verbatim during a patch: install its stored
+/// rows into the fabric (leaving the grids a cold compile of the level
+/// leaves), restore the post-quasisort checkpoint and event bookkeeping,
 /// re-emit the stored explanation passes, and advance the line state to
 /// the level's stored outcome. Copy ids keep tracking the cold allocation
 /// order because every preceding level — reused or recompiled — produced
 /// exactly the events a cold compile of the new assignment would.
-void reuse_level_state(const PlanLevel& old,
-                       const RouteExplanation* base_explanation, std::size_t n,
-                       int k, pkern::CompileWorkspace& ws,
-                       std::uint64_t& next_copy_id, RouteResult& result,
-                       const RouteOptions& options, bool checking) {
-  LevelKernel& kx = ws.kx;
+template <typename Fabric>
+void reuse_level(Fabric& fabric, pkern::RouteFrame& f, int k,
+                 const PlanLevel& old, const RoutePlan& base) {
+  fabric.install(PassKind::Scatter, k, old.scatter_settings);
+  fabric.install(PassKind::Quasisort, k, old.quasisort_settings);
+  LevelKernel& kx = f.ws.kx;
   BRSMN_EXPECTS(old.post_quasisort.size() == kx.state.words().size());
   std::copy(old.post_quasisort.begin(), old.post_quasisort.end(),
             kx.state.words().begin());
   kx.num_events = old.num_events;
   kx.parent_code = old.parent_codes;
-  kx.copy_id_base = next_copy_id;
-  next_copy_id += 2 * old.num_events;
-  if (options.explain) {
+  kx.copy_id_base = f.next_copy_id;
+  f.next_copy_id += 2 * old.num_events;
+  if (f.options.explain) {
     // The stored passes are pure functions of the (matching) entry
     // planes, so copying them is bit-identical to re-deriving them.
-    const auto& passes = base_explanation->passes;
+    const auto& passes = base.explanation->passes;
     const std::size_t first = 2 * static_cast<std::size_t>(k - 1);
-    result.explanation->passes.push_back(passes[first]);
-    result.explanation->passes.push_back(passes[first + 1]);
+    f.result.explanation->passes.push_back(passes[first]);
+    f.result.explanation->passes.push_back(passes[first + 1]);
   }
-  finish_level(ws, n, k, checking, /*route_ord=*/0);
-  result.stats += old.stats_delta;
-  result.broadcasts_per_level.push_back(old.stats_delta.broadcast_ops);
+  finish_level(f.ws, f.n, k, f.checking, f.route_ord);
+  f.result.stats += old.stats_delta;
+  f.result.broadcasts_per_level.push_back(old.stats_delta.broadcast_ops);
 }
 
-/// Adopt one stored level verbatim on the unrolled network: install its
-/// stored stage rows into the level's persistent grids (each row covers
-/// its stage's whole half-width, so this fully overwrites stale state and
-/// matches a cold compile's grids), then restore the line state.
-void reuse_level_unrolled(std::vector<Bsn>& level, const PlanLevel& old,
-                          const RouteExplanation* base_explanation,
-                          std::size_t n, int k, pkern::CompileWorkspace& ws,
-                          std::uint64_t& next_copy_id, RouteResult& result,
-                          const RouteOptions& options, obs::RouteProbe& probe,
-                          bool checking) {
-  obs::TraceSpan span = level_span(probe.tracer, k);
-  for (int j = 1; j <= ws.kx.stages; ++j) {
-    install_bsn_stage(level, PassKind::Scatter, j,
-                      old.scatter_settings[static_cast<std::size_t>(j - 1)]);
-    install_bsn_stage(level, PassKind::Quasisort, j,
-                      old.quasisort_settings[static_cast<std::size_t>(j - 1)]);
-  }
-  reuse_level_state(old, base_explanation, n, k, ws, next_copy_id, result,
-                    options, checking);
-}
-
-/// Adopt one stored level verbatim on the feedback fabric: both passes'
-/// grids are installed (reset first, as in a cold pass) so the physical
-/// fabric ends each level exactly as a cold compile leaves it.
-void reuse_level_feedback(Rbn& fabric, const PlanLevel& old,
-                          const RouteExplanation* base_explanation,
-                          std::size_t n, int k, pkern::CompileWorkspace& ws,
-                          std::uint64_t& next_copy_id, RouteResult& result,
-                          const RouteOptions& options, obs::RouteProbe& probe,
-                          bool checking) {
-  obs::TraceSpan span = level_span(probe.tracer, k);
-  fabric.reset();
-  for (std::size_t j = 0; j < old.scatter_settings.size(); ++j) {
-    fabric.install_stage(static_cast<int>(j + 1), old.scatter_settings[j]);
-  }
-  fabric.reset();
-  for (std::size_t j = 0; j < old.quasisort_settings.size(); ++j) {
-    fabric.install_stage(static_cast<int>(j + 1), old.quasisort_settings[j]);
-  }
-  reuse_level_state(old, base_explanation, n, k, ws, next_copy_id, result,
-                    options, checking);
-}
-
-}  // namespace
-
-RouteResult packed_route(Brsmn& net, const MulticastAssignment& assignment,
-                         const RouteOptions& options, RoutePlan* plan) {
-  const std::size_t n = net.n_;
-  const int m = net.m_;
-  obs::RouteProbe probe = obs::RouteProbe::attach(
-      options.metrics, options.metrics_prefix, options.tracer,
-      options.profiler);
-  obs::FabricHeatmap* heatmap = obs::kEnabled ? options.heatmap : nullptr;
-  obs::PhaseScope total_scope(probe, obs::Phase::Total, "brsmn.route");
-
-  RouteResult result;
-  result.delivered.assign(n, std::nullopt);
-  result.broadcasts_per_level.reserve(static_cast<std::size_t>(m));
-  if (options.explain) {
-    result.explanation.emplace();
-    result.explanation->n = n;
-  }
-
-  if (plan != nullptr) {
+/// The one packed driver frame, over either fabric binding. A patch
+/// (`base` set) walks the levels of a fresh compile of `assignment`,
+/// adopting every level whose entry tag planes match `base`'s stored
+/// checkpoint and recompiling the rest through the binding's level body;
+/// a cold compile is the same walk with no base — no level is clean and
+/// the walk never abandons. A non-null `plan` captures the compiled route
+/// plan (a patch always passes its output plan). `patched` is false only
+/// for a patch that was abandoned or refused.
+template <typename Fabric>
+planner::PatchOutcome drive_packed(Fabric fabric,
+                                   const MulticastAssignment& assignment,
+                                   const RouteOptions& options,
+                                   RoutePlan* plan, const RoutePlan* base,
+                                   const planner::PatchConfig* config) {
+  const std::size_t n = fabric.n();
+  const int m = fabric.m();
+  BRSMN_EXPECTS_MSG(assignment.size() == n,
+                    "assignment width must match the network");
+  planner::PatchOutcome outcome;
+  if (base != nullptr) {
+    BRSMN_EXPECTS_MSG(options.faults == nullptr,
+                      "cannot patch a route plan under fault injection");
+    BRSMN_EXPECTS_MSG(!options.capture_levels,
+                      "cannot capture level inputs while patching");
+    BRSMN_EXPECTS_MSG(
+        base->n == n && base->impl == Fabric::kImpl &&
+            base->levels.size() == static_cast<std::size_t>(m - 1),
+        "patch base must be a plan compiled on this network");
+    // Reused levels adopt the base's explanation passes verbatim; a base
+    // compiled without one cannot serve an explained patch.
+    if (options.explain && !base->explanation.has_value()) return outcome;
+  } else if (plan != nullptr) {
     // A plan compiled while faults are armed would freeze corrupted
     // checkpoints — compile_route enforces this before delegating here.
     BRSMN_EXPECTS_MSG(options.faults == nullptr,
                       "cannot compile a route plan under fault injection");
-    plan->n = n;
-    plan->m = m;
-    plan->impl = fault::ImplKind::Unrolled;
-    plan->wcode = static_cast<std::size_t>(m) + 1;
-    plan->levels.clear();
-    plan->levels.reserve(static_cast<std::size_t>(m - 1));
   }
-
-  const bool checking = options.self_check || options.faults != nullptr;
-  if (options.faults != nullptr) {
-    BRSMN_EXPECTS_MSG(options.faults->size() == n,
-                      "fault plan width must match the network");
-  }
-  const std::uint64_t route_ord =
-      options.faults != nullptr ? options.faults->begin_route() : 0;
-  if (options.fault_activity != nullptr) options.fault_activity->clear();
-
-  try {
-  // Per-network compile workspace: the widest-level kernel plus every
-  // census/configuration buffer and the line records, allocated on the
-  // first route and reused by every later compile and patch.
-  if (net.compile_ws_ == nullptr) {
-    net.compile_ws_ = std::make_unique<pkern::CompileWorkspace>(n, m);
-  }
-  pkern::CompileWorkspace& ws = *net.compile_ws_;
-  pkern::LevelKernel& kx = ws.kx;
-  kx.ops = &simd::ops(options.simd_backend);
-  kx.heat = heatmap;
-  std::uint64_t next_copy_id = 1;
-  begin_lines(ws, assignment, next_copy_id);
-
-  for (int k = 1; k <= m - 1; ++k) {
-    const int S = log2_exact(n >> (k - 1));
-    if (options.capture_levels) {
-      result.level_inputs.push_back(line_values(ws, S - 1));
-    }
-    fault::apply_dead_lines(options.faults, route_ord, k,
-                            fault::ImplKind::Unrolled, RouteEngine::Packed,
-                            ws.lines, options.fault_activity);
-    kx.begin_level(S);
-    kx.heat_level = k;
-    load_lines(kx, ws.lines, ws.dests.data(), S - 1);
-    PlanLevel* pl = nullptr;
-    if (plan != nullptr) {
-      pl = &plan->levels.emplace_back();
-      pl->stages = S;
-      pl->entry_t0.assign(kx.tag_plane(0).begin(), kx.tag_plane(0).end());
-      pl->entry_t1.assign(kx.tag_plane(1).begin(), kx.tag_plane(1).end());
-      pl->entry_t2.assign(kx.tag_plane(2).begin(), kx.tag_plane(2).end());
-    }
-    compile_level_unrolled(net.levels_[static_cast<std::size_t>(k - 1)], n, k,
-                           ws, next_copy_id, pl, result, options, probe,
-                           checking, route_ord);
-  }
-
-  if (options.capture_levels) result.level_inputs.push_back(line_values(ws, 0));
-  fault::apply_dead_lines(options.faults, route_ord, m,
-                          fault::ImplKind::Unrolled, RouteEngine::Packed,
-                          ws.lines, options.fault_activity);
-  load_final_level(ws);
-  if (plan != nullptr) capture_final_planes(kx, *plan);
-  const std::size_t splits_before_final = result.stats.broadcast_ops;
-  {
-    const obs::PhaseScope final_scope(probe, obs::Phase::Datapath,
-                                      "level.final");
-    ExplainSink final_sink;
-    if (options.explain) {
-      result.explanation->passes.push_back(
-          make_pass(m, PassKind::Final, n, 1));
-      final_sink.pass = &result.explanation->passes.back();
-    }
-    fault::guard(checking, n, route_ord, m, PassKind::Final, true, [&] {
-      deliver_final_lines(ws, result.delivered, &result.stats,
-                          options.explain ? &final_sink : nullptr, heatmap);
-    });
-  }
-  result.broadcasts_per_level.push_back(result.stats.broadcast_ops -
-                                        splits_before_final);
-
-  const auto expected = expected_delivery(assignment);
-  if (checking) {
-    fault::self_check_delivery(result.delivered, expected, m, route_ord);
-  }
-  BRSMN_ENSURES_MSG(result.delivered == expected,
-                    "BRSMN routed assignment incorrectly");
-  } catch (const fault::FaultDetected& e) {
-    if (options.explain && result.explanation.has_value()) {
-      fault::rethrow_localized(net, e, *result.explanation);
-    }
-    throw;
-  }
-  if (plan != nullptr) capture_result(result, *plan);
-  total_scope.end();
-  if constexpr (obs::kEnabled) {
-    if (probe.enabled()) probe.record_stats(result.stats);
-  }
-  return result;
-}
-
-RouteResult packed_route(FeedbackBrsmn& net,
-                         const MulticastAssignment& assignment,
-                         const RouteOptions& options, RoutePlan* plan) {
-  const std::size_t n = net.size();
-  const int m = net.levels();
-  obs::RouteProbe probe = obs::RouteProbe::attach(
-      options.metrics, options.metrics_prefix, options.tracer,
-      options.profiler);
-  obs::FabricHeatmap* heatmap = obs::kEnabled ? options.heatmap : nullptr;
-  obs::PhaseScope total_scope(probe, obs::Phase::Total, "feedback.route");
-
-  RouteResult result;
-  result.delivered.assign(n, std::nullopt);
-  result.broadcasts_per_level.reserve(static_cast<std::size_t>(m));
-  if (options.explain) {
-    result.explanation.emplace();
-    result.explanation->n = n;
-  }
-
-  if (plan != nullptr) {
-    BRSMN_EXPECTS_MSG(options.faults == nullptr,
-                      "cannot compile a route plan under fault injection");
-    plan->n = n;
-    plan->m = m;
-    plan->impl = fault::ImplKind::Feedback;
-    plan->wcode = static_cast<std::size_t>(m) + 1;
-    plan->levels.clear();
-    plan->levels.reserve(static_cast<std::size_t>(m - 1));
-  }
-
-  const bool checking = options.self_check || options.faults != nullptr;
-  if (options.faults != nullptr) {
-    BRSMN_EXPECTS_MSG(options.faults->size() == n,
-                      "fault plan width must match the network");
-  }
-  const std::uint64_t route_ord =
-      options.faults != nullptr ? options.faults->begin_route() : 0;
-  if (options.fault_activity != nullptr) options.fault_activity->clear();
-
-  try {
-  // See the unrolled driver: per-network workspace, reused every route.
-  if (net.compile_ws_ == nullptr) {
-    net.compile_ws_ = std::make_unique<pkern::CompileWorkspace>(n, m);
-  }
-  pkern::CompileWorkspace& ws = *net.compile_ws_;
-  pkern::LevelKernel& kx = ws.kx;
-  kx.ops = &simd::ops(options.simd_backend);
-  kx.heat = heatmap;
-  std::uint64_t next_copy_id = 1;
-  begin_lines(ws, assignment, next_copy_id);
-
-  for (int k = 1; k <= m - 1; ++k) {
-    const int top_stage = m - k + 1;  // level-k BSN size is 2^top_stage
-    if (options.capture_levels) {
-      result.level_inputs.push_back(line_values(ws, top_stage - 1));
-    }
-    fault::apply_dead_lines(options.faults, route_ord, k,
-                            fault::ImplKind::Feedback, RouteEngine::Packed,
-                            ws.lines, options.fault_activity);
-    kx.begin_level(top_stage);
-    kx.heat_level = k;
-    load_lines(kx, ws.lines, ws.dests.data(), top_stage - 1);
-    PlanLevel* pl = nullptr;
-    if (plan != nullptr) {
-      pl = &plan->levels.emplace_back();
-      pl->stages = top_stage;
-      pl->entry_t0.assign(kx.tag_plane(0).begin(), kx.tag_plane(0).end());
-      pl->entry_t1.assign(kx.tag_plane(1).begin(), kx.tag_plane(1).end());
-      pl->entry_t2.assign(kx.tag_plane(2).begin(), kx.tag_plane(2).end());
-    }
-    compile_level_feedback(net.fabric_, n, m, k, ws, next_copy_id, pl, result,
-                           options, probe, checking, route_ord);
-  }
-
-  // Final pass: the 2x2-switch level, realized by stage 1 of the fabric.
-  if (options.capture_levels) result.level_inputs.push_back(line_values(ws, 0));
-  fault::apply_dead_lines(options.faults, route_ord, m,
-                          fault::ImplKind::Feedback, RouteEngine::Packed,
-                          ws.lines, options.fault_activity);
-  load_final_level(ws);
-  if (plan != nullptr) capture_final_planes(kx, *plan);
-  const std::size_t splits_before_final = result.stats.broadcast_ops;
-  {
-    const obs::PhaseScope final_scope(probe, obs::Phase::Datapath,
-                                      "level.final");
-    ExplainSink final_sink;
-    if (options.explain) {
-      result.explanation->passes.push_back(make_pass(m, PassKind::Final, n, 1));
-      final_sink.pass = &result.explanation->passes.back();
-    }
-    fault::guard(checking, n, route_ord, m, PassKind::Final, true, [&] {
-      deliver_final_lines(ws, result.delivered, &result.stats,
-                          options.explain ? &final_sink : nullptr, heatmap);
-    });
-  }
-  result.broadcasts_per_level.push_back(result.stats.broadcast_ops -
-                                        splits_before_final);
-  ++result.stats.fabric_passes;
-
-  const auto expected = expected_delivery(assignment);
-  if (checking) {
-    fault::self_check_delivery(result.delivered, expected, m, route_ord);
-  }
-  BRSMN_ENSURES_MSG(result.delivered == expected,
-                    "feedback BRSMN routed assignment incorrectly");
-  } catch (const fault::FaultDetected& e) {
-    if (options.explain && result.explanation.has_value()) {
-      fault::rethrow_localized(net, e, *result.explanation);
-    }
-    throw;
-  }
-  if (plan != nullptr) capture_result(result, *plan);
-  total_scope.end();
-  if constexpr (obs::kEnabled) {
-    if (probe.enabled()) probe.record_stats(result.stats);
-  }
-  return result;
-}
-
-namespace {
-
-/// The shared patch walk: walk the levels of a fresh compile of
-/// `assignment`, adopting every level whose entry tag planes match the
-/// base plan's stored checkpoint and recompiling the rest through the
-/// exact cold code path. `reuse` and `compile` bind the implementation's
-/// fabric (the install targets are private to the networks, so the
-/// befriended planner::patch_route overloads pass them in as callables).
-template <typename ReuseFn, typename CompileFn>
-planner::PatchOutcome patch_route_core(
-    std::size_t n, int m, fault::ImplKind impl,
-    pkern::CompileWorkspace& ws, const MulticastAssignment& assignment,
-    const RoutePlan& base, const RouteOptions& options, RoutePlan& out,
-    const planner::PatchConfig& config, ReuseFn&& reuse,
-    CompileFn&& compile) {
-  BRSMN_EXPECTS_MSG(options.faults == nullptr,
-                    "cannot patch a route plan under fault injection");
-  BRSMN_EXPECTS_MSG(!options.capture_levels,
-                    "cannot capture level inputs while patching");
-  BRSMN_EXPECTS_MSG(assignment.size() == n,
-                    "assignment width must match the network");
-  BRSMN_EXPECTS_MSG(
-      base.n == n && base.impl == impl &&
-          base.levels.size() == static_cast<std::size_t>(m - 1),
-      "patch base must be a plan compiled on this network");
-
-  planner::PatchOutcome outcome;
-  // Reused levels adopt the base's explanation passes verbatim; a base
-  // compiled without one cannot serve an explained patch.
-  if (options.explain && !base.explanation.has_value()) return outcome;
 
   obs::RouteProbe probe = obs::RouteProbe::attach(
       options.metrics, options.metrics_prefix, options.tracer,
       options.profiler);
-  probe.resolve(obs::Phase::Patch);
+  if (base != nullptr) probe.resolve(obs::Phase::Patch);
   obs::FabricHeatmap* heatmap = obs::kEnabled ? options.heatmap : nullptr;
-  obs::PhaseScope total_scope(probe, obs::Phase::Total);
-  const obs::PhaseScope patch_scope(probe, obs::Phase::Patch, "plan.patch");
+  // A cold route's span is its total scope; a patch's is plan.patch.
+  obs::PhaseScope total_scope(
+      probe, obs::Phase::Total,
+      base == nullptr ? Fabric::kRouteSpan : std::string_view{});
+  std::optional<obs::PhaseScope> patch_scope;
+  if (base != nullptr) {
+    patch_scope.emplace(probe, obs::Phase::Patch, "plan.patch");
+  }
 
   RouteResult& result = outcome.result;
   result.delivered.assign(n, std::nullopt);
@@ -1880,91 +1586,131 @@ planner::PatchOutcome patch_route_core(
     result.explanation.emplace();
     result.explanation->n = n;
   }
+  if (plan != nullptr) {
+    plan->n = n;
+    plan->m = m;
+    plan->impl = Fabric::kImpl;
+    plan->wcode = static_cast<std::size_t>(m) + 1;
+    plan->levels.clear();
+    plan->levels.reserve(static_cast<std::size_t>(m - 1));
+  }
 
-  out.n = n;
-  out.m = m;
-  out.impl = impl;
-  out.wcode = static_cast<std::size_t>(m) + 1;
-  out.levels.clear();
-  out.levels.reserve(static_cast<std::size_t>(m - 1));
+  const bool checking = options.self_check || options.faults != nullptr;
+  if (options.faults != nullptr) {
+    BRSMN_EXPECTS_MSG(options.faults->size() == n,
+                      "fault plan width must match the network");
+  }
+  const std::uint64_t route_ord =
+      options.faults != nullptr ? options.faults->begin_route() : 0;
+  if (options.fault_activity != nullptr) options.fault_activity->clear();
 
-  const bool checking = options.self_check;
-
-  // Recompile budget: one more dirty level than this abandons the patch.
+  // Recompile budget: one more dirty level than this abandons a patch.
   // A delta mostly dirties the deep levels (see planner::patch_route),
   // and one that preserves a level's half-splits never dirties it at
   // all, so the budget counts *actual* dirty levels as the walk
   // discovers them. A walk that exhausts the budget has spent at most
   // max_dirty_fraction of a cold compile before handing over.
   const double budget =
-      config.max_dirty_fraction * static_cast<double>(m - 1);
+      config != nullptr
+          ? config->max_dirty_fraction * static_cast<double>(m - 1)
+          : std::numeric_limits<double>::infinity();
 
-  pkern::LevelKernel& kx = ws.kx;
-  kx.ops = &simd::ops(options.simd_backend);
-  // Reused levels restore stored checkpoints without re-running the
-  // datapath, so only recompiled levels (and the always-fresh final
-  // level) accumulate heatmap activity on the patch path.
-  kx.heat = heatmap;
-  std::uint64_t next_copy_id = 1;
-  begin_lines(ws, assignment, next_copy_id);
+  try {
+    // The network's compile workspace: the widest-level kernel plus
+    // every census/configuration buffer and the line records, allocated
+    // on the first route and reused by every later compile and patch.
+    pkern::CompileWorkspace& ws = fabric.compile_ws();
+    LevelKernel& kx = ws.kx;
+    kx.ops = &simd::ops(options.simd_backend);
+    // Reused levels restore stored checkpoints without re-running the
+    // datapath, so on a patch only recompiled levels (and the
+    // always-fresh final level) accumulate heatmap activity.
+    kx.heat = heatmap;
+    pkern::RouteFrame f{n, m, ws, options, probe, result, checking, route_ord};
+    begin_lines(ws, assignment, f.next_copy_id);
 
-  for (int k = 1; k <= m - 1; ++k) {
-    const int stages = m - k + 1;  // both impls: level-k BSN size 2^(m-k+1)
-    kx.begin_level(stages);
-    kx.heat_level = k;
-    load_lines(kx, ws.lines, ws.dests.data(), stages - 1);
-    const PlanLevel& old = base.levels[static_cast<std::size_t>(k - 1)];
-    const bool clean = old.stages == stages && entry_planes_match(kx, old);
-    if (!clean) {
-      if (outcome.first_dirty_level == 0) outcome.first_dirty_level = k;
-      if (static_cast<double>(outcome.levels_recompiled + 1) > budget) {
-        return outcome;  // abandoned: `out` unspecified, caller compiles cold
+    for (int k = 1; k <= m - 1; ++k) {
+      const int S = m - k + 1;  // both fabrics: level-k BSN size 2^S
+      if (options.capture_levels) {
+        result.level_inputs.push_back(line_values(ws, S - 1));
+      }
+      fault::apply_dead_lines(options.faults, route_ord, k, Fabric::kImpl,
+                              RouteEngine::Packed, ws.lines,
+                              options.fault_activity);
+      kx.begin_level(S);
+      kx.heat_level = k;
+      load_lines(kx, ws.lines, ws.dests.data(), S - 1);
+      const PlanLevel* old =
+          base != nullptr ? &base->levels[static_cast<std::size_t>(k - 1)]
+                          : nullptr;
+      const bool clean =
+          old != nullptr && old->stages == S && entry_planes_match(kx, *old);
+      if (!clean) {
+        if (outcome.first_dirty_level == 0) outcome.first_dirty_level = k;
+        if (static_cast<double>(outcome.levels_recompiled + 1) > budget) {
+          return outcome;  // abandoned: `plan` unspecified
+        }
+      }
+      obs::TraceSpan span = level_span(probe.tracer, k);
+      PlanLevel* pl = plan != nullptr ? &plan->levels.emplace_back() : nullptr;
+      if (clean) {
+        *pl = *old;
+        reuse_level(fabric, f, k, *old, *base);
+        ++outcome.levels_reused;
+      } else {
+        if (pl != nullptr) {
+          pl->stages = S;
+          pl->entry_t0.assign(kx.tag_plane(0).begin(), kx.tag_plane(0).end());
+          pl->entry_t1.assign(kx.tag_plane(1).begin(), kx.tag_plane(1).end());
+          pl->entry_t2.assign(kx.tag_plane(2).begin(), kx.tag_plane(2).end());
+        }
+        fabric.compile_level(f, k, pl);
+        ++outcome.levels_recompiled;
       }
     }
-    PlanLevel* pl = &out.levels.emplace_back();
-    if (clean) {
-      *pl = old;
-      reuse(k, old, ws, next_copy_id, result, probe, checking);
-      ++outcome.levels_reused;
-    } else {
-      pl->stages = stages;
-      pl->entry_t0.assign(kx.tag_plane(0).begin(), kx.tag_plane(0).end());
-      pl->entry_t1.assign(kx.tag_plane(1).begin(), kx.tag_plane(1).end());
-      pl->entry_t2.assign(kx.tag_plane(2).begin(), kx.tag_plane(2).end());
-      compile(k, ws, next_copy_id, pl, result, probe, checking);
-      ++outcome.levels_recompiled;
-    }
-  }
 
-  // The final 2x2 delivery level is always computed fresh — it is cheap,
-  // and rebuilding it revalidates the patched route's delivery end to end.
-  load_final_level(ws);
-  capture_final_planes(kx, out);
-  const std::size_t splits_before_final = result.stats.broadcast_ops;
-  {
-    const obs::PhaseScope final_scope(probe, obs::Phase::Datapath,
-                                      "level.final");
-    ExplainSink final_sink;
-    if (options.explain) {
-      result.explanation->passes.push_back(make_pass(m, PassKind::Final, n, 1));
-      final_sink.pass = &result.explanation->passes.back();
+    // The final 2x2 delivery level is always computed fresh — it is
+    // cheap, and on a patch it revalidates the delivery end to end.
+    if (options.capture_levels) {
+      result.level_inputs.push_back(line_values(ws, 0));
     }
-    fault::guard(checking, n, 0, m, PassKind::Final, true, [&] {
-      deliver_final_lines(ws, result.delivered, &result.stats,
-                          options.explain ? &final_sink : nullptr, heatmap);
-    });
-  }
-  result.broadcasts_per_level.push_back(result.stats.broadcast_ops -
-                                        splits_before_final);
-  if (impl == fault::ImplKind::Feedback) ++result.stats.fabric_passes;
+    fault::apply_dead_lines(options.faults, route_ord, m, Fabric::kImpl,
+                            RouteEngine::Packed, ws.lines,
+                            options.fault_activity);
+    load_final_level(ws);
+    if (plan != nullptr) capture_final_planes(kx, *plan);
+    const std::size_t splits_before_final = result.stats.broadcast_ops;
+    {
+      const obs::PhaseScope final_scope(probe, obs::Phase::Datapath,
+                                        "level.final");
+      ExplainSink final_sink;
+      if (options.explain) {
+        result.explanation->passes.push_back(
+            make_pass(m, PassKind::Final, n, 1));
+        final_sink.pass = &result.explanation->passes.back();
+      }
+      fault::guard(checking, n, route_ord, m, PassKind::Final, true, [&] {
+        deliver_final_lines(ws, result.delivered, &result.stats,
+                            options.explain ? &final_sink : nullptr, heatmap);
+      });
+    }
+    result.broadcasts_per_level.push_back(result.stats.broadcast_ops -
+                                          splits_before_final);
+    result.stats.fabric_passes += Fabric::kFinalPasses;
 
-  const auto expected = expected_delivery(assignment);
-  if (checking) {
-    fault::self_check_delivery(result.delivered, expected, m, 0);
+    const auto expected = expected_delivery(assignment);
+    if (checking) {
+      fault::self_check_delivery(result.delivered, expected, m, route_ord);
+    }
+    BRSMN_ENSURES_MSG(result.delivered == expected,
+                      "packed BRSMN route delivered incorrectly");
+  } catch (const fault::FaultDetected& e) {
+    if (options.explain && result.explanation.has_value()) {
+      fault::rethrow_localized(fabric.net, e, *result.explanation);
+    }
+    throw;
   }
-  BRSMN_ENSURES_MSG(result.delivered == expected,
-                    "patched BRSMN route delivered incorrectly");
-  capture_result(result, out);
+  if (plan != nullptr) capture_result(result, *plan);
   outcome.patched = true;
   total_scope.end();
   if constexpr (obs::kEnabled) {
@@ -1975,62 +1721,36 @@ planner::PatchOutcome patch_route_core(
 
 }  // namespace
 
+RouteResult packed_route(Brsmn& net, const MulticastAssignment& assignment,
+                         const RouteOptions& options, RoutePlan* plan) {
+  return drive_packed(pkern::UnrolledFabric{net}, assignment, options, plan,
+                      nullptr, nullptr)
+      .result;
+}
+
+RouteResult packed_route(FeedbackBrsmn& net,
+                         const MulticastAssignment& assignment,
+                         const RouteOptions& options, RoutePlan* plan) {
+  return drive_packed(pkern::FeedbackFabric{net}, assignment, options, plan,
+                      nullptr, nullptr)
+      .result;
+}
+
 namespace planner {
 
 PatchOutcome patch_route(Brsmn& net, const MulticastAssignment& assignment,
                          const RoutePlan& base, const RouteOptions& options,
                          RoutePlan& out, const PatchConfig& config) {
-  const RouteExplanation* base_expl =
-      base.explanation.has_value() ? &*base.explanation : nullptr;
-  if (net.compile_ws_ == nullptr) {
-    net.compile_ws_ =
-        std::make_unique<pkern::CompileWorkspace>(net.n_, net.m_);
-  }
-  return patch_route_core(
-      net.n_, net.m_, fault::ImplKind::Unrolled, *net.compile_ws_,
-      assignment, base, options, out, config,
-      [&](int k, const PlanLevel& old, pkern::CompileWorkspace& ws,
-          std::uint64_t& next_copy_id, RouteResult& result,
-          obs::RouteProbe& probe, bool checking) {
-        reuse_level_unrolled(net.levels_[static_cast<std::size_t>(k - 1)],
-                             old, base_expl, net.n_, k, ws, next_copy_id,
-                             result, options, probe, checking);
-      },
-      [&](int k, pkern::CompileWorkspace& ws, std::uint64_t& next_copy_id,
-          PlanLevel* pl, RouteResult& result, obs::RouteProbe& probe,
-          bool checking) {
-        compile_level_unrolled(net.levels_[static_cast<std::size_t>(k - 1)],
-                               net.n_, k, ws, next_copy_id, pl, result,
-                               options, probe, checking, /*route_ord=*/0);
-      });
+  return drive_packed(pkern::UnrolledFabric{net}, assignment, options, &out,
+                      &base, &config);
 }
 
 PatchOutcome patch_route(FeedbackBrsmn& net,
                          const MulticastAssignment& assignment,
                          const RoutePlan& base, const RouteOptions& options,
                          RoutePlan& out, const PatchConfig& config) {
-  const RouteExplanation* base_expl =
-      base.explanation.has_value() ? &*base.explanation : nullptr;
-  if (net.compile_ws_ == nullptr) {
-    net.compile_ws_ = std::make_unique<pkern::CompileWorkspace>(
-        net.size(), net.levels());
-  }
-  return patch_route_core(
-      net.size(), net.levels(), fault::ImplKind::Feedback, *net.compile_ws_,
-      assignment, base, options, out, config,
-      [&](int k, const PlanLevel& old, pkern::CompileWorkspace& ws,
-          std::uint64_t& next_copy_id, RouteResult& result,
-          obs::RouteProbe& probe, bool checking) {
-        reuse_level_feedback(net.fabric_, old, base_expl, net.size(), k, ws,
-                             next_copy_id, result, options, probe, checking);
-      },
-      [&](int k, pkern::CompileWorkspace& ws, std::uint64_t& next_copy_id,
-          PlanLevel* pl, RouteResult& result, obs::RouteProbe& probe,
-          bool checking) {
-        compile_level_feedback(net.fabric_, net.size(), net.levels(), k, ws,
-                               next_copy_id, pl, result, options, probe,
-                               checking, /*route_ord=*/0);
-      });
+  return drive_packed(pkern::FeedbackFabric{net}, assignment, options, &out,
+                      &base, &config);
 }
 
 }  // namespace planner

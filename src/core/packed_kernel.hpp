@@ -14,11 +14,13 @@
 // 2^j <= 64 a block never straddles a word (in-word shifts suffice) and
 // for 2^j > 64 the pair distance is a whole number of words.
 //
-// The primitives here are engine-agnostic; the packed route drivers
-// (packed_route in brsmn.hpp / feedback.hpp, defined in
-// packed_kernel.cpp) compose them into full BRSMN routing that is
+// The primitives here are engine-agnostic; the packed driver frame
+// (drive_packed in packed_kernel.cpp, behind packed_route and
+// planner::patch_route) composes them into full BRSMN routing that is
 // bit-identical to the scalar engines — outputs, settings grids,
 // explanations, and stats (verified by tests/test_packed_differential).
+// The frame is written once; a per-fabric binding (core/fabric_binding.hpp)
+// supplies what differs between the unrolled and feedback networks.
 #pragma once
 
 #include <cstddef>

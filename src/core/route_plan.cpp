@@ -11,12 +11,12 @@
 #include "core/route_plan.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <span>
 #include <string>
 #include <utility>
 
 #include "common/contracts.hpp"
+#include "core/fabric_binding.hpp"
 #include "core/level_kernel.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/self_check.hpp"
@@ -89,18 +89,17 @@ bool apply_dead_lines_packed(const fault::FaultInjector* injector,
   return any_killed;
 }
 
-/// The implementation-independent replay loop. `install_pass(k, pass,
-/// pl)` installs the pass's stored setting runs into the physical fabric
-/// (the per-implementation part); `seam_apply(seam, k, pass, masks)`
-/// routes the fault seam to it. The replay always drives the packed
-/// datapath, so the seam sees RouteEngine::Packed regardless of
-/// options.engine (the engines are bit-identical, and so are their
-/// replays).
-template <typename InstallFn, typename SeamFn>
-void replay_core(std::size_t n, int m, fault::ImplKind impl,
-                 const RoutePlan& plan, const RouteOptions& options,
-                 RouteResult& out, pkern::ReplayWorkspace& ws,
-                 InstallFn&& install_pass, SeamFn&& seam_apply) {
+/// The replay loop, written once over the fabric binding
+/// (core/fabric_binding.hpp) that installs each pass's stored rows and
+/// routes the fault seam. The replay always drives the packed datapath,
+/// so the seam sees RouteEngine::Packed regardless of options.engine (the
+/// engines are bit-identical, and so are their replays).
+template <typename Fabric>
+void replay_core(Fabric fabric, const RoutePlan& plan,
+                 const RouteOptions& options, RouteResult& out) {
+  const std::size_t n = fabric.n();
+  const int m = fabric.m();
+  const fault::ImplKind impl = Fabric::kImpl;
   BRSMN_EXPECTS_MSG(plan.n == n && plan.m == m,
                     "route plan was compiled for a different network size");
   BRSMN_EXPECTS_MSG(plan.impl == impl,
@@ -127,6 +126,7 @@ void replay_core(std::size_t n, int m, fault::ImplKind impl,
       options.faults != nullptr ? options.faults->begin_route() : 0;
   if (options.fault_activity != nullptr) options.fault_activity->clear();
 
+  pkern::ReplayWorkspace& ws = fabric.replay_ws();
   pkern::LevelKernel& kx = ws.kx;
   // Replay is backend-agnostic: the stored masks, events and checkpoints
   // are plain words, so any backend — not necessarily the one that
@@ -152,19 +152,13 @@ void replay_core(std::size_t n, int m, fault::ImplKind impl,
                               options.fault_activity);
     }
 
-    fault::PassSeam seam;
-    seam.injector = options.faults;
-    seam.activity = options.fault_activity;
-    seam.route = route_ord;
-    seam.net_width = n;
-    seam.level = k;
-    seam.impl = impl;
-    seam.engine = RouteEngine::Packed;
+    const fault::PassSeam seam =
+        pkern::packed_seam(options, route_ord, n, k, impl);
 
     // Scatter pass: stored settings in, datapath through, checkpoint out.
     copy_masks(kx.masks, pl.scatter_masks);
-    install_pass(k, PassKind::Scatter, pl);
-    seam_apply(seam, k, PassKind::Scatter, kx.masks);
+    fabric.install(PassKind::Scatter, k, pl.scatter_settings);
+    fabric.apply_seam(seam, PassKind::Scatter, kx.masks);
     for (std::size_t j = 0; j < static_cast<std::size_t>(S); ++j) {
       kx.events[j] = pl.events[j];
     }
@@ -185,8 +179,8 @@ void replay_core(std::size_t n, int m, fault::ImplKind impl,
     // t2 plane rather than re-deriving it.
     copy_span(kx.tag_plane(2), pl.divided_t2);
     copy_masks(kx.masks, pl.quasisort_masks);
-    install_pass(k, PassKind::Quasisort, pl);
-    seam_apply(seam, k, PassKind::Quasisort, kx.masks);
+    fabric.install(PassKind::Quasisort, k, pl.quasisort_settings);
+    fabric.apply_seam(seam, PassKind::Quasisort, kx.masks);
     fault::guard(checking, n, route_ord, k, PassKind::Quasisort, true, [&] {
       obs::PhaseScope sort_data_scope(probe, obs::Phase::Datapath);
       pkern::run_unicast_datapath(kx);
@@ -244,6 +238,28 @@ void replay_core(std::size_t n, int m, fault::ImplKind impl,
   }
 }
 
+/// route_replay over either binding: a replay into a fresh result.
+template <typename Fabric>
+RouteResult replay_fresh(Fabric fabric, const RoutePlan& plan,
+                         const RouteOptions& options) {
+  RouteResult out;
+  replay_core(fabric, plan, options, out);
+  return out;
+}
+
+/// compile_route over either network: a cold packed route that captures
+/// its plan.
+template <typename Net>
+RouteResult compile_packed(Net& net, const MulticastAssignment& assignment,
+                           const RouteOptions& options, RoutePlan& plan) {
+  BRSMN_EXPECTS_MSG(options.faults == nullptr,
+                    "cannot compile a route plan under fault injection");
+  RouteOptions co = options;
+  co.plan_cache = nullptr;
+  co.capture_levels = false;
+  return packed_route(net, assignment, co, &plan);
+}
+
 }  // namespace
 
 // Out-of-line where pkern::ReplayWorkspace is complete.
@@ -256,75 +272,23 @@ FeedbackBrsmn& FeedbackBrsmn::operator=(FeedbackBrsmn&&) noexcept = default;
 
 RouteResult Brsmn::route_replay(const RoutePlan& plan,
                                 const RouteOptions& options) {
-  RouteResult out;
-  route_replay_into(plan, options, out);
-  return out;
+  return replay_fresh(pkern::UnrolledFabric{*this}, plan, options);
 }
 
 void Brsmn::route_replay_into(const RoutePlan& plan,
                               const RouteOptions& options, RouteResult& out) {
-  if (replay_ws_ == nullptr) {
-    replay_ws_ = std::make_unique<pkern::ReplayWorkspace>(n_, m_);
-  }
-  auto install = [&](int k, PassKind pass, const PlanLevel& pl) {
-    auto& level = levels_[static_cast<std::size_t>(k - 1)];
-    const auto& rows =
-        pass == PassKind::Scatter ? pl.scatter_settings : pl.quasisort_settings;
-    // Each BSN owns the contiguous 2^(S-1)-wide slice of every
-    // level-wide stage row: one copy per (BSN, stage).
-    const std::size_t bsn_row = std::size_t{1} << (pl.stages - 1);
-    for (std::size_t j = 0; j < rows.size(); ++j) {
-      const std::span<const SwitchSetting> row(rows[j]);
-      for (std::size_t bb = 0; bb < level.size(); ++bb) {
-        Rbn& fabric = pass == PassKind::Scatter
-                          ? level[bb].mutable_scatter_fabric()
-                          : level[bb].mutable_quasisort_fabric();
-        fabric.install_stage(static_cast<int>(j + 1),
-                             row.subspan(bb * bsn_row, bsn_row));
-      }
-    }
-  };
-  auto seam_apply = [&](fault::PassSeam& seam, int k, PassKind pass,
-                        std::vector<packed::StageMasks>& masks) {
-    seam.apply_unrolled_packed(levels_[static_cast<std::size_t>(k - 1)], pass,
-                               masks);
-  };
-  replay_core(n_, m_, fault::ImplKind::Unrolled, plan, options, out,
-              *replay_ws_, install, seam_apply);
+  replay_core(pkern::UnrolledFabric{*this}, plan, options, out);
 }
 
 RouteResult FeedbackBrsmn::route_replay(const RoutePlan& plan,
                                         const RouteOptions& options) {
-  RouteResult out;
-  route_replay_into(plan, options, out);
-  return out;
+  return replay_fresh(pkern::FeedbackFabric{*this}, plan, options);
 }
 
 void FeedbackBrsmn::route_replay_into(const RoutePlan& plan,
                                       const RouteOptions& options,
                                       RouteResult& out) {
-  if (replay_ws_ == nullptr) {
-    replay_ws_ =
-        std::make_unique<pkern::ReplayWorkspace>(fabric_.size(),
-                                                 fabric_.stages());
-  }
-  auto install = [&](int /*k*/, PassKind pass, const PlanLevel& pl) {
-    // A cold feedback pass resets the fabric before configuring it; the
-    // stored rows then cover exactly the reconfigured stages, so the
-    // fabric grid after each pass matches the cold route bit-exactly.
-    fabric_.reset();
-    const auto& rows =
-        pass == PassKind::Scatter ? pl.scatter_settings : pl.quasisort_settings;
-    for (std::size_t j = 0; j < rows.size(); ++j) {
-      fabric_.install_stage(static_cast<int>(j + 1), rows[j]);
-    }
-  };
-  auto seam_apply = [&](fault::PassSeam& seam, int /*k*/, PassKind pass,
-                        std::vector<packed::StageMasks>& masks) {
-    seam.apply_full_packed(fabric_, pass, masks);
-  };
-  replay_core(fabric_.size(), fabric_.stages(), fault::ImplKind::Feedback,
-              plan, options, out, *replay_ws_, install, seam_apply);
+  replay_core(pkern::FeedbackFabric{*this}, plan, options, out);
 }
 
 std::uint64_t assignment_fingerprint(const MulticastAssignment& a) {
@@ -346,23 +310,13 @@ namespace planner {
 
 RouteResult compile_route(Brsmn& net, const MulticastAssignment& assignment,
                           const RouteOptions& options, RoutePlan& plan) {
-  BRSMN_EXPECTS_MSG(options.faults == nullptr,
-                    "cannot compile a route plan under fault injection");
-  RouteOptions co = options;
-  co.plan_cache = nullptr;
-  co.capture_levels = false;
-  return packed_route(net, assignment, co, &plan);
+  return compile_packed(net, assignment, options, plan);
 }
 
 RouteResult compile_route(FeedbackBrsmn& net,
                           const MulticastAssignment& assignment,
                           const RouteOptions& options, RoutePlan& plan) {
-  BRSMN_EXPECTS_MSG(options.faults == nullptr,
-                    "cannot compile a route plan under fault injection");
-  RouteOptions co = options;
-  co.plan_cache = nullptr;
-  co.capture_levels = false;
-  return packed_route(net, assignment, co, &plan);
+  return compile_packed(net, assignment, options, plan);
 }
 
 }  // namespace planner

@@ -8,10 +8,11 @@
 // localization (fault/locate.hpp) possible: intent and actual are two
 // separate artifacts that can be diffed.
 //
-// The same seam drives all four drivers. Scalar engines patch the Rbn
-// settings the datapath reads; the packed engine patches both the Rbn
-// fabrics (so post-route inspection agrees) and the stage bitmasks its
-// word-parallel datapath actually consumes — in lockstep, so the two
+// The same seam serves both engines on both implementations. Scalar
+// engines patch the Rbn settings the datapath reads; the packed engine,
+// through its fabric binding (core/fabric_binding.hpp), patches both the
+// Rbn fabrics (so post-route inspection agrees) and the stage bitmasks
+// its word-parallel datapath actually consumes — in lockstep, so the two
 // engines stay bit-identical under the same plan.
 #pragma once
 
@@ -124,7 +125,7 @@ SwitchSetting faulted_setting(SwitchSetting configured, FaultKind kind,
                               SwitchSetting stuck);
 
 /// Kill the scheduled dead lines at entry of `level`: each becomes an
-/// empty ε. Shared verbatim by all four drivers (before the level's
+/// empty ε. Shared verbatim by every driver (before the level's
 /// packed load / scalar slicing), which keeps dead links trivially
 /// engine-identical; the packed drivers pass their line records.
 void apply_dead_lines(const FaultInjector* injector, std::uint64_t route,

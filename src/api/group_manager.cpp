@@ -174,35 +174,25 @@ GroupRouteReport GroupManager::route_impl(GroupId group, Net& net,
     return report;
   }
 
-  PlanCache& cache = *options.plan_cache;
-  RouteOptions inner = options;
-  inner.plan_cache = nullptr;
-
-  // 1. Exact hit for the current assignment: replay. Mirrors
-  //    route_via_cache, including the invalidate-then-recompile path
-  //    for a replay that trips the self-check.
-  if (PlanCache::PlanPtr plan = cache.lookup(*assignment, IMPL,
-                                             options.explain)) {
-    try {
-      report.result = net.route_replay(*plan, inner);
+  // 1. Exact hit for the current assignment: replay — or, with faults
+  //    armed, route cold without compiling or patching (a plan built
+  //    through a fault would freeze corrupted checkpoints).
+  switch (serve_cached(net, *assignment, options, report.result)) {
+    case CachedStep::Replayed:
       report.mode = GroupRouteMode::Replayed;
       bump(replayed_, replayed_counter_);
       update_planned(group, impl_index, *assignment, report.version);
       return report;
-    } catch (const fault::FaultDetected&) {
-      cache.invalidate(*assignment, IMPL);
-      if (options.faults != nullptr) throw;
-    }
+    case CachedStep::Cold:
+      report.mode = GroupRouteMode::Uncached;
+      return report;
+    case CachedStep::Compile:
+      break;
   }
 
-  if (options.faults != nullptr) {
-    // Never compile or patch while faults are armed: a plan built
-    // through a fault would freeze corrupted checkpoints. Route cold
-    // without inserting.
-    report.result = net.route(*assignment, inner);
-    report.mode = GroupRouteMode::Uncached;
-    return report;
-  }
+  PlanCache& cache = *options.plan_cache;
+  RouteOptions inner = options;
+  inner.plan_cache = nullptr;
 
   // 2. Patch from the plan compiled for this group's previous
   //    assignment, if the cache still holds it.

@@ -193,16 +193,16 @@ void PlanCache::attach_metrics(obs::MetricRegistry& registry,
 namespace {
 
 template <fault::ImplKind IMPL, typename Net>
-RouteResult route_via_cache_impl(Net& net,
-                                 const MulticastAssignment& assignment,
-                                 const RouteOptions& options) {
+CachedStep serve_cached_impl(Net& net, const MulticastAssignment& assignment,
+                             const RouteOptions& options, RouteResult& out) {
   PlanCache& cache = *options.plan_cache;
   RouteOptions inner = options;
   inner.plan_cache = nullptr;
   if (PlanCache::PlanPtr plan =
           cache.lookup(assignment, IMPL, options.explain)) {
     try {
-      return net.route_replay(*plan, inner);
+      out = net.route_replay(*plan, inner);
+      return CachedStep::Replayed;
     } catch (const fault::FaultDetected&) {
       cache.invalidate(assignment, IMPL);
       // With an injector armed the detection is the contract: surface it
@@ -214,11 +214,26 @@ RouteResult route_via_cache_impl(Net& net,
   if (options.faults != nullptr) {
     // Never compile a plan while faults are armed; route cold without
     // inserting.
-    return net.route(assignment, inner);
+    out = net.route(assignment, inner);
+    return CachedStep::Cold;
   }
+  return CachedStep::Compile;
+}
+
+template <fault::ImplKind IMPL, typename Net>
+RouteResult route_via_cache_impl(Net& net,
+                                 const MulticastAssignment& assignment,
+                                 const RouteOptions& options) {
+  RouteResult result;
+  if (serve_cached_impl<IMPL>(net, assignment, options, result) !=
+      CachedStep::Compile) {
+    return result;
+  }
+  RouteOptions inner = options;
+  inner.plan_cache = nullptr;
   auto fresh = std::make_shared<RoutePlan>();
-  RouteResult result = planner::compile_route(net, assignment, inner, *fresh);
-  cache.insert(assignment, IMPL, std::move(fresh));
+  result = planner::compile_route(net, assignment, inner, *fresh);
+  options.plan_cache->insert(assignment, IMPL, std::move(fresh));
   return result;
 }
 
@@ -235,6 +250,19 @@ RouteResult route_via_cache(FeedbackBrsmn& net,
                             const RouteOptions& options) {
   return route_via_cache_impl<fault::ImplKind::Feedback>(net, assignment,
                                                          options);
+}
+
+CachedStep serve_cached(Brsmn& net, const MulticastAssignment& assignment,
+                        const RouteOptions& options, RouteResult& out) {
+  return serve_cached_impl<fault::ImplKind::Unrolled>(net, assignment,
+                                                      options, out);
+}
+
+CachedStep serve_cached(FeedbackBrsmn& net,
+                        const MulticastAssignment& assignment,
+                        const RouteOptions& options, RouteResult& out) {
+  return serve_cached_impl<fault::ImplKind::Feedback>(net, assignment,
+                                                      options, out);
 }
 
 }  // namespace brsmn::api

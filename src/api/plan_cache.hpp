@@ -145,4 +145,23 @@ RouteResult route_via_cache(FeedbackBrsmn& net,
                             const MulticastAssignment& assignment,
                             const RouteOptions& options);
 
+/// How serve_cached settled a route.
+enum class CachedStep {
+  Replayed,  ///< a cached plan replayed cleanly
+  Cold,      ///< faults armed and no clean replay: routed cold, uncached
+  Compile,   ///< nothing served: the caller compiles (or patches) and inserts
+};
+
+/// The steps every cached route takes before it compiles, shared by
+/// route_via_cache and GroupManager::route: replay a hit; a replay that
+/// raises FaultDetected invalidates its entry and is rethrown when an
+/// injector is armed (the next route recompiles); with an injector armed
+/// and no hit, route cold without inserting. `options.plan_cache` must be
+/// set; the result of a Replayed or Cold step is written to `out`.
+CachedStep serve_cached(Brsmn& net, const MulticastAssignment& assignment,
+                        const RouteOptions& options, RouteResult& out);
+CachedStep serve_cached(FeedbackBrsmn& net,
+                        const MulticastAssignment& assignment,
+                        const RouteOptions& options, RouteResult& out);
+
 }  // namespace brsmn::api

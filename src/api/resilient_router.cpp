@@ -4,7 +4,6 @@
 #include <thread>
 #include <utility>
 
-#include "api/parallel_router.hpp"
 #include "common/contracts.hpp"
 #include "core/placement.hpp"
 #include "fault/fault_injector.hpp"
@@ -216,40 +215,6 @@ RequestOutcome ResilientRouter::route_group(GroupId group,
     if (!feedback_) feedback_ = std::make_unique<FeedbackBrsmn>(n_);
     return std::move(groups.route(group, *feedback_, ro).result);
   });
-}
-
-std::vector<RequestOutcome> ResilientRouter::route_batch(
-    const std::vector<MulticastAssignment>& batch) {
-  std::vector<RequestOutcome> outcomes(batch.size());
-  if (batch.empty()) return outcomes;
-  obs::TraceSpan span(options_.tracer, "resilient.route_batch");
-
-  if (!batch_) {
-    batch_ = std::make_unique<ParallelRouter>(n_);
-    batch_->set_metrics(options_.metrics);
-    batch_->set_tracer(options_.tracer);
-  }
-  batch_->set_self_check(options_.self_check);
-  batch_->set_faults(options_.faults);
-  batch_->set_plan_cache(options_.plan_cache);
-
-  try {
-    std::vector<RouteResult> results = batch_->route_batch(batch);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      outcomes[i].outcome = RouteOutcome::Delivered;
-      outcomes[i].result = std::move(results[i]);
-      outcomes[i].attempts = 1;
-    }
-    return outcomes;
-  } catch (const ContractViolation&) {
-    // The fast path failed somewhere; the aggregate does not say which
-    // results are trustworthy, so re-run every assignment through the
-    // ladder. Slower, but exact per-request outcomes.
-  }
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    outcomes[i] = route_ladder(batch[i]);
-  }
-  return outcomes;
 }
 
 }  // namespace brsmn::api

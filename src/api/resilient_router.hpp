@@ -50,7 +50,6 @@ class FaultInjector;
 
 namespace brsmn::api {
 
-class ParallelRouter;
 class PlanCache;
 
 /// Per-request terminal state.
@@ -119,11 +118,10 @@ struct ResilientOptions {
   fault::FaultInjector* faults = nullptr;
   obs::MetricRegistry* metrics = nullptr;
   obs::Tracer* tracer = nullptr;
-  /// Compiled-plan cache shared by every attempt and by route_batch
-  /// workers (see api/plan_cache.hpp). A replayed plan that trips the
-  /// self-check is invalidated and the attempt surfaces FaultDetected,
-  /// so the retry ladder recompiles or falls back as usual. Null: every
-  /// route is cold.
+  /// Compiled-plan cache shared by every attempt (see
+  /// api/plan_cache.hpp). A replayed plan that trips the self-check is
+  /// invalidated and the attempt surfaces FaultDetected, so the retry
+  /// ladder recompiles or falls back as usual. Null: every route is cold.
   PlanCache* plan_cache = nullptr;
   /// Fabric utilization heatmap (obs/fabric_heatmap.hpp), threaded into
   /// every attempt's RouteOptions. Single-owner: one routing thread per
@@ -176,12 +174,6 @@ class ResilientRouter {
   /// concurrent joins/leaves land on whichever attempt reads them.
   RequestOutcome route_group(GroupId group, GroupManager& groups);
 
-  /// Route a batch: a ParallelRouter fans the fast path across worker
-  /// threads; on any aggregate failure each assignment is re-run through
-  /// the resilient ladder serially, so per-request outcomes stay exact.
-  std::vector<RequestOutcome> route_batch(
-      const std::vector<MulticastAssignment>& batch);
-
   /// Lifetime counters, mirrored into metrics as fault.detected /
   /// fault.recovered / fault.degraded / fault.gaveup when a registry is
   /// attached.
@@ -228,7 +220,6 @@ class ResilientRouter {
   std::vector<RoutePath> ladder_;
   Brsmn unrolled_;
   std::unique_ptr<FeedbackBrsmn> feedback_;  ///< lazy: first fallback use
-  std::unique_ptr<ParallelRouter> batch_;    ///< lazy: first route_batch
   std::uint64_t detected_ = 0;
   std::uint64_t recovered_ = 0;
   std::uint64_t degraded_ = 0;

@@ -213,7 +213,7 @@ class Brsmn {
 
   /// Replay a compiled plan (core/route_plan.hpp) on this network: the
   /// configuration phases (quasisort, tag trees, eps-division, scatter)
-  /// are skipped and the stored settings drive the fabric directly. The
+  /// are skipped and the stored masks drive the fabric directly. The
   /// online self-check compares the datapath state against the plan's
   /// checkpoints, and the fault seam still applies, so a replay under an
   /// active fault raises fault::FaultDetected exactly like a cold route.

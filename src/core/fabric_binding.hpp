@@ -11,10 +11,10 @@
 // BSNs (Brsmn::levels_[k-1]), FeedbackFabric the single RBN.
 //
 // A binding is a reference to its network plus: the implementation's
-// ImplKind, its total-span name, one install of a pass's stage rows, the
-// fault seam, its level body (which keeps the implementation's own
-// Eq. 2-4 contracts, stats and gate-delay accounting, and guard
-// placement), and the final level's fabric-pass accounting.
+// ImplKind, its total-span name, one install of a pass's stage masks,
+// its level body (which keeps the implementation's own Eq. 2-4
+// contracts, stats and gate-delay accounting, and guard placement), and
+// the final level's fabric-pass accounting.
 #pragma once
 
 #include <cstddef>
@@ -39,9 +39,9 @@ namespace brsmn::pkern {
 /// One packed route's driver state (core/packed_kernel.cpp).
 struct RouteFrame;
 
-/// One pass's stage rows, [j-1] for j = 1..S, each stage's n/2 settings
-/// level-wide in the block-major order Rbn::install_stage takes.
-using SettingRows = std::span<const std::vector<SwitchSetting>>;
+/// One pass's stage masks, [j-1] for j = 1..S, each level-wide: the
+/// kernel's (after the fault seam) or a stored plan's.
+using PassMasks = std::span<const packed::StageMasks>;
 
 /// The packed fault seam of level k: the injector's armed faults for
 /// `impl`, recorded into options.fault_activity.
@@ -86,30 +86,21 @@ struct UnrolledFabric {
     return lazy_workspace(net.replay_ws_, n(), m());
   }
 
-  /// Install `pass`'s rows into level k's BSN fabrics: each BSN owns the
-  /// contiguous 2^(S-1)-wide slice of every row, so this is one copy per
-  /// (BSN, stage) and fully overwrites the level's stale grids.
-  void install(PassKind pass, int k, SettingRows rows) {
+  /// Install `pass`'s masks into level k's BSN fabrics: each BSN takes
+  /// its 2^S-line slice of every stage, which fully overwrites the
+  /// level's stale grids.
+  void install(PassKind pass, int k, PassMasks masks) {
     std::vector<Bsn>& level = net.levels_[static_cast<std::size_t>(k - 1)];
-    for (std::size_t j = 0; j < rows.size(); ++j) {
-      const std::span<const SwitchSetting> row(rows[j]);
-      const std::size_t bsn_row = row.size() / level.size();
-      for (std::size_t bb = 0; bb < level.size(); ++bb) {
-        Rbn& fabric = pass == PassKind::Scatter
-                          ? level[bb].mutable_scatter_fabric()
-                          : level[bb].mutable_quasisort_fabric();
-        fabric.install_stage(static_cast<int>(j + 1),
-                             row.subspan(bb * bsn_row, bsn_row));
+    const std::size_t bsn_size = n() / level.size();
+    for (std::size_t bb = 0; bb < level.size(); ++bb) {
+      Rbn& fabric = pass == PassKind::Scatter
+                        ? level[bb].mutable_scatter_fabric()
+                        : level[bb].mutable_quasisort_fabric();
+      for (std::size_t j = 0; j < masks.size(); ++j) {
+        fabric.install(static_cast<int>(j + 1), masks[j].su, masks[j].sl,
+                       bb * bsn_size);
       }
     }
-  }
-
-  /// Patch level seam.level's BSN fabrics and the pass's masks in
-  /// lockstep.
-  void apply_seam(const fault::PassSeam& seam, PassKind pass,
-                  std::vector<packed::StageMasks>& masks) {
-    seam.apply_unrolled_packed(
-        net.levels_[static_cast<std::size_t>(seam.level - 1)], pass, masks);
   }
 
   /// The unrolled level body (core/packed_kernel.cpp).
@@ -134,20 +125,15 @@ struct FeedbackFabric {
     return lazy_workspace(net.replay_ws_, n(), m());
   }
 
-  /// Reset the fabric and install the pass's rows: the rows cover
-  /// exactly the level's S reconfigured stages and the stages above stay
-  /// identity, so the grid ends each pass as a cold route leaves it.
-  void install(PassKind /*pass*/, int /*k*/, SettingRows rows) {
-    net.fabric_.reset();
-    for (std::size_t j = 0; j < rows.size(); ++j) {
-      net.fabric_.install_stage(static_cast<int>(j + 1), rows[j]);
+  /// Install the pass's masks over the level's S reconfigured stages
+  /// and reset the stages above to identity, so the grid ends each pass
+  /// as a cold route leaves it. The fabric is not cleared first: install
+  /// overwrites every stage.
+  void install(PassKind /*pass*/, int /*k*/, PassMasks masks) {
+    for (std::size_t j = 0; j < masks.size(); ++j) {
+      net.fabric_.install(static_cast<int>(j + 1), masks[j].su, masks[j].sl);
     }
-  }
-
-  /// Patch the full-width fabric and the pass's masks in lockstep.
-  void apply_seam(const fault::PassSeam& seam, PassKind pass,
-                  std::vector<packed::StageMasks>& masks) {
-    seam.apply_full_packed(net.fabric_, pass, masks);
+    net.fabric_.reset(static_cast<int>(masks.size()) + 1);
   }
 
   /// The feedback level body (core/packed_kernel.cpp).

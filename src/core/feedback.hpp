@@ -49,9 +49,9 @@ class FeedbackBrsmn {
   RouteResult route(const MulticastAssignment& assignment,
                     const RouteOptions& options = {});
 
-  /// Replay a compiled plan on this fabric: each pass's stored settings
-  /// are installed (after a reset, as in a cold route) and only the
-  /// datapath runs. Same self-check / fault semantics as
+  /// Replay a compiled plan on this fabric: each pass's stored masks are
+  /// installed (stages above the level's reset, as in a cold route) and
+  /// only the datapath runs. Same self-check / fault semantics as
   /// Brsmn::route_replay; requires plan.impl == Feedback.
   RouteResult route_replay(const RoutePlan& plan,
                            const RouteOptions& options = {});

@@ -83,6 +83,11 @@ struct LevelKernel {
     return state.plane(wcode + static_cast<std::size_t>(bit));
   }
 
+  /// The configured pass's masks: the first `stages` rows.
+  std::span<const packed::StageMasks> stage_masks() const {
+    return {masks.data(), static_cast<std::size_t>(stages)};
+  }
+
   void reset_pass() {
     for (auto& mk : masks) mk.clear();
     for (auto& ev : events) ev.clear();
@@ -99,30 +104,12 @@ struct LevelKernel {
   }
 };
 
-/// The datapath mask bits of one switch setting (see packed::StageMasks):
-/// su, at the pair's upper line, is set for Cross and LowerBcast; sl, at
-/// its lower line, for Cross and UpperBcast. Every mask writer goes
-/// through these two — the runs of fill_masks, the fault seam's
-/// set_mask_switch, and the bottom-stage tables (core/block_tables.hpp).
-constexpr bool sets_su(SwitchSetting s) {
-  return s == SwitchSetting::Cross || s == SwitchSetting::LowerBcast;
-}
-constexpr bool sets_sl(SwitchSetting s) {
-  return s == SwitchSetting::Cross || s == SwitchSetting::UpperBcast;
-}
-
-/// The inverse: the setting whose mask bits are (su, sl), su | (su^sl)<<1
-/// — (0,0) Parallel, (1,1) Cross, (0,1) UpperBcast, (1,0) LowerBcast.
-constexpr SwitchSetting setting_from_bits(bool su, bool sl) {
-  return static_cast<SwitchSetting>(static_cast<unsigned>(su) |
-                                    (static_cast<unsigned>(su != sl) << 1));
-}
-
 /// Set switches [first, first+count) of global block `gblock` at `stage`
 /// in the datapath masks: su at each pair's upper line, sl at its lower
-/// line. This is the per-node sweeps' writer; the fabric grids and plan
-/// rows are decoded from the masks afterwards (decode_stage_settings).
-/// Parallel runs need no bits, so the masks must start the pass cleared.
+/// line. This is the per-node sweeps' writer; the fabric grids keep the
+/// same two bits per switch (Rbn::install copies them out of the masks),
+/// and plans store the masks themselves. Parallel runs need no bits, so
+/// the masks must start the pass cleared.
 inline void fill_masks(packed::StageMasks& mk, int stage, std::size_t gblock,
                        std::size_t first, std::size_t count,
                        SwitchSetting s) {
@@ -142,15 +129,6 @@ inline void set_mask_switch(packed::StageMasks& mk, std::size_t up,
   packed::plane_set(mk.su, up, sets_su(s));
   packed::plane_set(mk.sl, up + d, sets_sl(s));
 }
-
-/// Decode stage `stage`'s masks over n lines into the stage's n/2 switch
-/// settings, in the block-major logical order Rbn::install_stage takes
-/// (switch g * 2^(stage-1) + t joins lines g * 2^stage + t and
-/// g * 2^stage + t + 2^(stage-1)). The inverse of fill_masks and
-/// set_mask_switch: (su, sl) = (0,0) Parallel, (1,1) Cross, (0,1)
-/// UpperBcast, (1,0) LowerBcast. `row` must hold exactly n/2 settings.
-void decode_stage_settings(const packed::StageMasks& mk, int stage,
-                           std::size_t n, std::span<SwitchSetting> row);
 
 /// Clear every plane and write the identity code planes (plane p of line
 /// i holds bit p of i); the three tag planes stay zero.
@@ -229,9 +207,9 @@ struct ReplayWorkspace {
 /// per level) plus every per-level buffer the configuration sweeps need —
 /// the SoA tag censuses, the ε0 selection plane, the scatter type tree
 /// (flat from level 2, level j at offset n/2 - n/2^(j-1)), the
-/// backward-sweep run starts, the per-block entry tallies, the decoded
-/// settings rows, the line records with their gather double buffer and
-/// destination array, and the final level's heads and sources.
+/// backward-sweep run starts, the per-block entry tallies, the line
+/// records with their gather double buffer and destination array, and
+/// the final level's heads and sources.
 /// First route allocates once; warm compiles reuse everything.
 struct CompileWorkspace {
   LevelKernel kx;
@@ -254,9 +232,6 @@ struct CompileWorkspace {
   /// the array LineRecord ranges index.
   std::vector<std::uint32_t> dests;
   std::vector<std::uint8_t> side_done;    ///< per-event first-copy latch
-  /// One pass's decoded settings rows (m rows of n/2; a level uses the
-  /// first S) when no plan's rows take them.
-  std::vector<std::vector<SwitchSetting>> rows;
   /// The final level's head tags and sources.
   std::vector<Tag> heads;
   std::vector<std::size_t> sources;
@@ -264,7 +239,6 @@ struct CompileWorkspace {
   CompileWorkspace(std::size_t n, int m)
       : kx(n, m, m),
         eps0_sel(packed::words_for(n), 0),
-        rows(static_cast<std::size_t>(m), std::vector<SwitchSetting>(n / 2)),
         heads(n),
         sources(n) {
     lines.reserve(n);

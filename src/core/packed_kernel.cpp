@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <numeric>
@@ -442,19 +441,6 @@ void run_unicast_datapath(LevelKernel& kx) {
 
 namespace {
 
-/// Gather the bits of x at the positions whose bit q is clear into the
-/// low 32 bits, in order: within a word, the upper lines of the pairs at
-/// distance 2^q. morton_compress is the q = 0 case.
-constexpr std::uint64_t unzip_upper(std::uint64_t x, unsigned q) {
-  constexpr std::uint64_t kKeep[6] = {
-      0x5555555555555555ull, 0x3333333333333333ull, 0x0f0f0f0f0f0f0f0full,
-      0x00ff00ff00ff00ffull, 0x0000ffff0000ffffull, 0x00000000ffffffffull,
-  };
-  x &= kKeep[q];
-  for (unsigned k = q; k < 5; ++k) x = (x | (x >> (1u << k))) & kKeep[k + 1];
-  return x;
-}
-
 /// Spread the 8 bits of b (< 256) to the low bits of 8 bytes, bit i to
 /// byte i: replicate b into every byte, keep bit i in byte i, then turn
 /// each nonzero byte into 1.
@@ -464,56 +450,7 @@ constexpr std::uint64_t spread_byte_bits(std::uint64_t b) {
   return ((picked + 0x7f7f7f7f7f7f7f7full) >> 7) & 0x0101010101010101ull;
 }
 
-/// Write the settings of `count` consecutive switches whose su and sl
-/// bits are the low bits of `su` and `sl`. With the pair (su, sl), the
-/// SwitchSetting value is su | (su ^ sl) << 1: (0,0) Parallel = 0,
-/// (1,1) Cross = 1, (0,1) UpperBcast = 2, (1,0) LowerBcast = 3.
-void store_settings(std::uint64_t su, std::uint64_t sl, std::size_t count,
-                    SwitchSetting* out) {
-  const std::uint64_t flip = su ^ sl;
-  for (std::size_t i = 0; i < count; i += 8) {
-    const std::uint64_t bytes =
-        spread_byte_bits((su >> i) & 0xffu) |
-        (spread_byte_bits((flip >> i) & 0xffu) << 1);
-    const std::size_t lim = std::min<std::size_t>(8, count - i);
-    if constexpr (std::endian::native == std::endian::little) {
-      std::memcpy(out + i, &bytes, lim);
-    } else {
-      for (std::size_t k = 0; k < lim; ++k) {
-        out[i + k] = static_cast<SwitchSetting>((bytes >> (8 * k)) & 0xffu);
-      }
-    }
-  }
-}
-
 }  // namespace
-
-void decode_stage_settings(const packed::StageMasks& mk, int stage,
-                           std::size_t n, std::span<SwitchSetting> row) {
-  BRSMN_EXPECTS(row.size() == n / 2);
-  const std::size_t d = std::size_t{1} << (stage - 1);
-  SwitchSetting* out = row.data();
-  if (d < packed::kWordBits) {
-    // 2d-line blocks tile each word, so word w holds switches
-    // [32w, 32w + 32): su at the upper positions, sl at the lower ones
-    // (brought up to the upper positions by a shift of d).
-    const auto q = static_cast<unsigned>(stage - 1);
-    for (std::size_t w = 0; w < packed::words_for(n); ++w) {
-      store_settings(unzip_upper(mk.su[w], q), unzip_upper(mk.sl[w] >> d, q),
-                     std::min<std::size_t>(32, n / 2 - 32 * w), out + 32 * w);
-    }
-    return;
-  }
-  // Whole-word halves: block b's upper lines are words [2bD, 2bD + D) of
-  // su, its lower lines words [2bD + D, 2bD + 2D) of sl, D = d/64.
-  const std::size_t dw = d / packed::kWordBits;
-  for (std::size_t b = 0; b < n / (2 * d); ++b) {
-    for (std::size_t u = 0; u < dw; ++u) {
-      store_settings(mk.su[2 * b * dw + u], mk.sl[2 * b * dw + dw + u],
-                     packed::kWordBits, out + b * d + u * packed::kWordBits);
-    }
-  }
-}
 
 }  // namespace pkern
 
@@ -604,8 +541,8 @@ void record_table_block(const ExplainSink& sink, std::size_t first_line,
     for (unsigned t = 0; t < (1u << D) / (2 * d); ++t) {
       for (unsigned i = 0; i < d; ++i) {
         const unsigned up = 2 * d * t + i;
-        settings[i] = pkern::setting_from_bits((su[j - 1] >> up) & 1u,
-                                               (sl[j - 1] >> (up + d)) & 1u);
+        settings[i] = setting_from_bits((su[j - 1] >> up) & 1u,
+                                        (sl[j - 1] >> (up + d)) & 1u);
       }
       sink.record_block(j, (first_line >> j) + t,
                         std::span<const SwitchSetting>(settings, d),
@@ -1164,23 +1101,6 @@ obs::TraceSpan level_span(obs::Tracer* tracer, int k) {
   return obs::TraceSpan(tracer, label);
 }
 
-/// The configured pass's S stage rows, decoded from its masks: into the
-/// plan's rows when a plan is being compiled (`plan_rows`, resized to S),
-/// else into the workspace's rows.
-pkern::SettingRows decode_rows(
-    pkern::CompileWorkspace& ws,
-    std::vector<std::vector<SwitchSetting>>* plan_rows) {
-  const auto S = static_cast<std::size_t>(ws.kx.stages);
-  if (plan_rows != nullptr) plan_rows->resize(S);
-  auto& rows = plan_rows != nullptr ? *plan_rows : ws.rows;
-  for (std::size_t j = 0; j < S; ++j) {
-    rows[j].resize(ws.kx.n / 2);
-    pkern::decode_stage_settings(ws.kx.masks[j], static_cast<int>(j + 1),
-                                 ws.kx.n, rows[j]);
-  }
-  return pkern::SettingRows(rows).first(S);
-}
-
 }  // namespace
 
 /// One packed route's state, shared by the driver frame and the level
@@ -1262,8 +1182,6 @@ void pkern::UnrolledFabric::compile_level(RouteFrame& f, int k,
     configure_scatter_packed(
         ws, census, &result.stats,
         scatter_pass != nullptr ? &scatter_sink : nullptr);
-    install(PassKind::Scatter, k,
-            decode_rows(ws, pl != nullptr ? &pl->scatter_settings : nullptr));
     scatter_scope.end();
     // A BSN root whose α count exceeds its ε count would be α-typed
     // with a nonzero surplus.
@@ -1273,7 +1191,8 @@ void pkern::UnrolledFabric::compile_level(RouteFrame& f, int k,
     }
   });
   if (pl != nullptr) capture_stage_masks(kx, pl->scatter_masks);
-  apply_seam(seam, PassKind::Scatter, kx.masks);
+  seam.apply_packed(PassKind::Scatter, kx.masks);
+  install(PassKind::Scatter, k, kx.stage_masks());
 
   pk::TagCensus& mid = ws.mid;
   fault::guard(checking, n, route_ord, k, PassKind::Scatter, true, [&] {
@@ -1328,15 +1247,14 @@ void pkern::UnrolledFabric::compile_level(RouteFrame& f, int k,
     configure_quasisort_packed(
         ws, divided, &result.stats,
         quasi_pass != nullptr ? &quasi_sink : nullptr);
-    install(PassKind::Quasisort, k,
-            decode_rows(ws, pl != nullptr ? &pl->quasisort_settings : nullptr));
     quasisort_scope.end();
   });
   if (pl != nullptr) {
     pl->divided_t2.assign(kx.tag_plane(2).begin(), kx.tag_plane(2).end());
     capture_stage_masks(kx, pl->quasisort_masks);
   }
-  apply_seam(seam, PassKind::Quasisort, kx.masks);
+  seam.apply_packed(PassKind::Quasisort, kx.masks);
+  install(PassKind::Quasisort, k, kx.stage_masks());
 
   fault::guard(checking, n, route_ord, k, PassKind::Quasisort, true, [&] {
     obs::PhaseScope sort_data_scope(probe, obs::Phase::Datapath,
@@ -1413,11 +1331,10 @@ void pkern::FeedbackFabric::compile_level(RouteFrame& f, int k,
     configure_scatter_packed(
         ws, ws.census, &result.stats,
         scatter_sink.pass != nullptr ? &scatter_sink : nullptr);
-    install(PassKind::Scatter, k,
-            decode_rows(ws, pl != nullptr ? &pl->scatter_settings : nullptr));
   });
   if (pl != nullptr) capture_stage_masks(kx, pl->scatter_masks);
-  apply_seam(seam, PassKind::Scatter, kx.masks);
+  seam.apply_packed(PassKind::Scatter, kx.masks);
+  install(PassKind::Scatter, k, kx.stage_masks());
   fault::guard(checking, n, route_ord, k, PassKind::Scatter, true, [&] {
     finalize_events(kx, /*bsn_block_major=*/false, f.next_copy_id,
                     &result.stats);
@@ -1463,14 +1380,13 @@ void pkern::FeedbackFabric::compile_level(RouteFrame& f, int k,
     configure_quasisort_packed(
         ws, ws.divided, &result.stats,
         quasi_sink.pass != nullptr ? &quasi_sink : nullptr);
-    install(PassKind::Quasisort, k,
-            decode_rows(ws, pl != nullptr ? &pl->quasisort_settings : nullptr));
   });
   if (pl != nullptr) {
     pl->divided_t2.assign(kx.tag_plane(2).begin(), kx.tag_plane(2).end());
     capture_stage_masks(kx, pl->quasisort_masks);
   }
-  apply_seam(seam, PassKind::Quasisort, kx.masks);
+  seam.apply_packed(PassKind::Quasisort, kx.masks);
+  install(PassKind::Quasisort, k, kx.stage_masks());
   fault::guard(checking, n, route_ord, k, PassKind::Quasisort, true, [&] {
     const obs::PhaseScope sort_data_scope(probe, obs::Phase::Datapath,
                                           "fb.quasisort.datapath");
@@ -1495,7 +1411,7 @@ void pkern::FeedbackFabric::compile_level(RouteFrame& f, int k,
 namespace {
 
 /// Adopt one stored level verbatim during a patch: install its stored
-/// rows into the fabric (leaving the grids a cold compile of the level
+/// masks into the fabric (leaving the grids a cold compile of the level
 /// leaves), restore the post-quasisort checkpoint and event bookkeeping,
 /// re-emit the stored explanation passes, and advance the line state to
 /// the level's stored outcome. Copy ids keep tracking the cold allocation
@@ -1504,8 +1420,8 @@ namespace {
 template <typename Fabric>
 void reuse_level(Fabric& fabric, pkern::RouteFrame& f, int k,
                  const PlanLevel& old, const RoutePlan& base) {
-  fabric.install(PassKind::Scatter, k, old.scatter_settings);
-  fabric.install(PassKind::Quasisort, k, old.quasisort_settings);
+  fabric.install(PassKind::Scatter, k, old.scatter_masks);
+  fabric.install(PassKind::Quasisort, k, old.quasisort_masks);
   LevelKernel& kx = f.ws.kx;
   BRSMN_EXPECTS(old.post_quasisort.size() == kx.state.words().size());
   std::copy(old.post_quasisort.begin(), old.post_quasisort.end(),

@@ -1,14 +1,22 @@
 // The reverse banyan network fabric: a settings grid over the RBN
 // topology plus generic stage-by-stage value propagation.
 //
-// The fabric is deliberately dumb: it holds one SwitchSetting per switch
-// and moves values. All intelligence lives in the distributed routing
+// The fabric is deliberately dumb: it holds each switch's setting and
+// moves values. All intelligence lives in the distributed routing
 // algorithms (bit_sorter / scatter / quasisort), which fill in the grid,
 // mirroring the paper's separation between the switching fabric and the
 // per-switch routing circuitry.
+//
+// A 2x2 switch has four operations (Fig. 7), so its whole state is two
+// bits: the grid keeps, per stage, the su bit-plane (set at a pair's
+// upper line for Cross and LowerBcast) and the sl bit-plane (set at its
+// lower line for Cross and UpperBcast) — the layout of the packed
+// datapath's stage masks (packed::StageMasks), which install copies in
+// word by word.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <span>
 #include <utility>
@@ -37,8 +45,9 @@ class Rbn {
   std::size_t size() const noexcept { return topo_.size(); }
   int stages() const noexcept { return topo_.stages(); }
 
-  /// Reset every switch to parallel (the identity permutation).
-  void reset();
+  /// Reset every switch of stages [first_stage, stages()] to parallel
+  /// (the identity permutation).
+  void reset(int first_stage = 1);
 
   SwitchSetting setting(int stage, std::size_t switch_index) const;
   void set(int stage, std::size_t switch_index, SwitchSetting s);
@@ -53,13 +62,35 @@ class Rbn {
   std::vector<SwitchSetting> block_settings(int stage,
                                             std::size_t block) const;
 
-  /// Overwrite a whole stage's settings row in one copy. `row` is in
-  /// block-major logical order (logical switch t of block `block` is
-  /// stage switch block * block_size(stage)/2 + t) and must cover the
-  /// stage exactly — the bulk form the packed compile, plan replay and
-  /// patching use to install a stage decoded from, or stored beside, its
-  /// datapath masks.
-  void install_stage(int stage, std::span<const SwitchSetting> row);
+  /// Overwrite stage `stage` from level-wide datapath masks (the su and
+  /// sl words of a packed::StageMasks): this fabric's line i takes bit
+  /// first_line + i of each. `first_line` is a multiple of size() (a
+  /// BSN's slice of its level), so a fabric of 64 lines or more copies
+  /// whole words and a narrower one shifts and masks inside one word.
+  /// The bulk form the packed compile, plan replay and patching use.
+  /// Inline: replay installs every (BSN, stage) of a pass, thousands of
+  /// calls per route at n = 1024.
+  void install(int stage, std::span<const std::uint64_t> su,
+               std::span<const std::uint64_t> sl, std::size_t first_line = 0) {
+    const std::size_t n = size();
+    BRSMN_EXPECTS(stage >= 1 && stage <= stages());
+    BRSMN_EXPECTS((first_line & (n - 1)) == 0);  // n is a power of two
+    BRSMN_EXPECTS(first_line + n <= su.size() * 64 &&
+                  first_line + n <= sl.size() * 64);
+    const std::size_t w0 = first_line / 64;
+    std::uint64_t* const su_out = plane(stage, false);
+    std::uint64_t* const sl_out = plane(stage, true);
+    if (n >= 64) {
+      for (std::size_t w = 0; w < words_; ++w) {
+        su_out[w] = su[w0 + w];
+        sl_out[w] = sl[w0 + w];
+      }
+      return;
+    }
+    const std::uint64_t keep = (std::uint64_t{1} << n) - 1;
+    su_out[0] = (su[w0] >> (first_line % 64)) & keep;
+    sl_out[0] = (sl[w0] >> (first_line % 64)) & keep;
+  }
 
   /// Propagate `lines` (size n) through stages [from_stage, to_stage]
   /// inclusive. For each switch, `fn(ctx, setting, upper, lower)` must
@@ -84,9 +115,8 @@ class Rbn {
         for (std::size_t t = 0; t < half; ++t) {
           const std::size_t up = base + t;
           const std::size_t low = base + t + half;
-          const std::size_t sw = topo_.stage_switch(stage, up);
-          SwitchContext ctx{stage, sw, up, low};
-          auto [u, v] = fn(ctx, setting(stage, sw), std::move(lines[up]),
+          SwitchContext ctx{stage, block * half + t, up, low};
+          auto [u, v] = fn(ctx, read(stage, up, low), std::move(lines[up]),
                            std::move(lines[low]));
           next[up] = std::move(u);
           next[low] = std::move(v);
@@ -123,9 +153,28 @@ class Rbn {
   }
 
  private:
+  /// Stage `stage`'s su (lower = false) or sl (lower = true) plane.
+  std::uint64_t* plane(int stage, bool lower) {
+    return planes_.data() +
+           (2 * static_cast<std::size_t>(stage - 1) + lower) * words_;
+  }
+  const std::uint64_t* plane(int stage, bool lower) const {
+    return planes_.data() +
+           (2 * static_cast<std::size_t>(stage - 1) + lower) * words_;
+  }
+
+  /// The setting of the switch joining lines `up` and `low` at `stage`:
+  /// its su bit at `up`, its sl bit at `low`.
+  SwitchSetting read(int stage, std::size_t up, std::size_t low) const {
+    return setting_from_bits((plane(stage, false)[up / 64] >> (up % 64)) & 1u,
+                             (plane(stage, true)[low / 64] >> (low % 64)) & 1u);
+  }
+  void write(int stage, std::size_t up, std::size_t low, SwitchSetting s);
+
   topo::RbnTopology topo_;
-  // settings_[stage-1][switch_index], switch_index in stage-switch order.
-  std::vector<std::vector<SwitchSetting>> settings_;
+  std::size_t words_;  ///< words per bit-plane: ceil(n / 64)
+  /// Per stage, the su plane then the sl plane, words_ words each.
+  std::vector<std::uint64_t> planes_;
 };
 
 /// The standard unicast-only switch function: parallel or cross. Throws

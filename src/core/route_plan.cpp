@@ -1,13 +1,13 @@
 // Replay of compiled route plans (see route_plan.hpp).
 //
 // A replay re-runs only the datapath: per level it reloads the identity
-// codes, restores the entry tag planes, installs the stored masks and
-// fabric setting runs, and propagates. The plan's post-pass checkpoints
-// stand in for the configuration-phase contracts: under the self-check,
-// any divergence of the replayed state from the stored state — which is
-// exactly what an injected fault produces — raises fault::FaultDetected
-// at the (level, pass) that diverged, mirroring a cold route's detection
-// points.
+// codes, restores the entry tag planes, installs the stored masks into
+// the kernel and the fabric, and propagates. The plan's post-pass
+// checkpoints stand in for the configuration-phase contracts: under the
+// self-check, any divergence of the replayed state from the stored state
+// — which is exactly what an injected fault produces — raises
+// fault::FaultDetected at the (level, pass) that diverged, mirroring a
+// cold route's detection points.
 #include "core/route_plan.hpp"
 
 #include <algorithm>
@@ -90,10 +90,10 @@ bool apply_dead_lines_packed(const fault::FaultInjector* injector,
 }
 
 /// The replay loop, written once over the fabric binding
-/// (core/fabric_binding.hpp) that installs each pass's stored rows and
-/// routes the fault seam. The replay always drives the packed datapath,
-/// so the seam sees RouteEngine::Packed regardless of options.engine (the
-/// engines are bit-identical, and so are their replays).
+/// (core/fabric_binding.hpp) that installs each pass's masks. The replay
+/// always drives the packed datapath, so the seam sees RouteEngine::Packed
+/// regardless of options.engine (the engines are bit-identical, and so
+/// are their replays).
 template <typename Fabric>
 void replay_core(Fabric fabric, const RoutePlan& plan,
                  const RouteOptions& options, RouteResult& out) {
@@ -155,10 +155,10 @@ void replay_core(Fabric fabric, const RoutePlan& plan,
     const fault::PassSeam seam =
         pkern::packed_seam(options, route_ord, n, k, impl);
 
-    // Scatter pass: stored settings in, datapath through, checkpoint out.
+    // Scatter pass: stored masks in, datapath through, checkpoint out.
     copy_masks(kx.masks, pl.scatter_masks);
-    fabric.install(PassKind::Scatter, k, pl.scatter_settings);
-    fabric.apply_seam(seam, PassKind::Scatter, kx.masks);
+    seam.apply_packed(PassKind::Scatter, kx.masks);
+    fabric.install(PassKind::Scatter, k, kx.stage_masks());
     for (std::size_t j = 0; j < static_cast<std::size_t>(S); ++j) {
       kx.events[j] = pl.events[j];
     }
@@ -179,8 +179,8 @@ void replay_core(Fabric fabric, const RoutePlan& plan,
     // t2 plane rather than re-deriving it.
     copy_span(kx.tag_plane(2), pl.divided_t2);
     copy_masks(kx.masks, pl.quasisort_masks);
-    fabric.install(PassKind::Quasisort, k, pl.quasisort_settings);
-    fabric.apply_seam(seam, PassKind::Quasisort, kx.masks);
+    seam.apply_packed(PassKind::Quasisort, kx.masks);
+    fabric.install(PassKind::Quasisort, k, kx.stage_masks());
     fault::guard(checking, n, route_ord, k, PassKind::Quasisort, true, [&] {
       obs::PhaseScope sort_data_scope(probe, obs::Phase::Datapath);
       pkern::run_unicast_datapath(kx);

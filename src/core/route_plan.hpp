@@ -3,16 +3,16 @@
 // A cold route spends most of its time deciding — quasisort merges, tag
 // trees, eps-division, scatter planning — and comparatively little time
 // moving bits through the fabric. A RoutePlan freezes every decision of
-// one route over one assignment: the per-(level, pass) switch settings in
-// both forms the engines consume (whole per-stage settings rows for the
-// Rbn grids, packed StageMasks for the word-parallel datapath), the broadcast
-// events with their copy-id allocation order, the expected state
-// checkpoints after each pass, and the output mapping. route_replay()
-// (Brsmn / FeedbackBrsmn) then skips the configuration phases entirely:
-// it installs the stored settings, drives the datapath, and validates the
-// resulting state against the checkpoints — so a replay under an active
-// fault still raises fault::FaultDetected, and a clean replay is
-// bit-identical to a cold route (outputs, fabric grids, stats,
+// one route over one assignment: the per-(level, pass) switch settings,
+// stored once as the packed StageMasks (two bits per switch — all the
+// state a 2x2 switch has, Fig. 7), the broadcast events with their
+// copy-id allocation order, the expected state checkpoints after each
+// pass, and the output mapping. route_replay() (Brsmn / FeedbackBrsmn)
+// then skips the configuration phases entirely: it installs the stored
+// masks into the datapath and the Rbn grids, drives the datapath, and
+// validates the resulting state against the checkpoints — so a replay
+// under an active fault still raises fault::FaultDetected, and a clean
+// replay is bit-identical to a cold route (outputs, fabric grids, stats,
 // explanations).
 //
 // Plans are engine-agnostic (the Scalar and Packed engines are
@@ -45,20 +45,13 @@ struct PlanLevel {
   packed::Words entry_t1;
   packed::Words entry_t2;
 
-  /// Per-stage datapath masks and full fabric settings rows, per pass.
-  /// The masks are what the compile's configuration sweeps write; each
-  /// settings row is decoded from them once per stage
-  /// (pkern::decode_stage_settings), so the two always agree. Settings
-  /// row [j-1] holds stage j's n/2 switches level-wide, in the
-  /// block-major logical order Rbn::install_stage takes (global switch
-  /// g * block_size(j)/2 + t); compile, replay and patching install a row
-  /// with one Rbn::install_stage copy per stage. For the unrolled
-  /// implementation the row concatenates the level's BSNs, so each BSN
-  /// installs its contiguous 2^(stages-1)-wide slice.
+  /// Per-stage datapath masks, per pass: [j-1] holds stage j's su and
+  /// sl bits level-wide, exactly as the compile's configuration sweeps
+  /// wrote them. Compile, replay and patching install them into the Rbn
+  /// grids with Rbn::install (each unrolled BSN takes its 2^stages-line
+  /// slice), so the masks are the only stored form of a decision.
   std::vector<packed::StageMasks> scatter_masks;
-  std::vector<std::vector<SwitchSetting>> scatter_settings;
   std::vector<packed::StageMasks> quasisort_masks;
-  std::vector<std::vector<SwitchSetting>> quasisort_settings;
 
   /// Broadcast events with finalized copy-id allocation order.
   std::vector<std::vector<pkern::BcastEvent>> events;

@@ -41,6 +41,26 @@ constexpr SwitchSetting opposite_unicast(SwitchSetting s) {
                                       : SwitchSetting::Parallel;
 }
 
+/// The two bits that store one switch setting: su, at the pair's upper
+/// line, is set for Cross and LowerBcast; sl, at its lower line, for
+/// Cross and UpperBcast (the fabric grids and the packed datapath masks
+/// both keep exactly these bits). Every mask writer goes through these
+/// two — Rbn::set, fill_masks, the fault seam's set_mask_switch, and the
+/// bottom-stage tables (core/block_tables.hpp).
+constexpr bool sets_su(SwitchSetting s) {
+  return s == SwitchSetting::Cross || s == SwitchSetting::LowerBcast;
+}
+constexpr bool sets_sl(SwitchSetting s) {
+  return s == SwitchSetting::Cross || s == SwitchSetting::UpperBcast;
+}
+
+/// The inverse: the setting whose mask bits are (su, sl), su | (su^sl)<<1
+/// — (0,0) Parallel, (1,1) Cross, (0,1) UpperBcast, (1,0) LowerBcast.
+constexpr SwitchSetting setting_from_bits(bool su, bool sl) {
+  return static_cast<SwitchSetting>(static_cast<unsigned>(su) |
+                                    (static_cast<unsigned>(su != sl) << 1));
+}
+
 std::string_view setting_name(SwitchSetting s);
 std::ostream& operator<<(std::ostream& os, SwitchSetting s);
 

@@ -145,45 +145,19 @@ void PassSeam::apply_local(Rbn& fabric, PassKind pass) const {
   }
 }
 
-void PassSeam::apply_unrolled_packed(
-    std::vector<Bsn>& level_bsns, PassKind pass,
-    std::vector<packed::StageMasks>& masks) const {
-  if (!armed()) return;
-  BRSMN_EXPECTS(!level_bsns.empty());
-  const std::size_t bsn_size = level_bsns[0].size();
-  for (const auto& fault :
-       injector->switch_faults(route, level, pass, impl, engine)) {
-    const std::size_t u = fault_site_upper_line(fault.stage, fault.index);
-    const std::size_t d = std::size_t{1} << (fault.stage - 1);
-    const std::size_t bb = u / bsn_size;
-    Bsn& bsn = level_bsns[bb];
-    Rbn& fabric = pass == PassKind::Scatter ? bsn.mutable_scatter_fabric()
-                                            : bsn.mutable_quasisort_fabric();
-    const std::size_t lsw = fault_site_local_switch(fault.stage, u, bb * bsn_size);
-    const auto resolved = resolve_and_record(
-        *this, pass, fault, fabric.setting(fault.stage, lsw));
-    if (resolved) {
-      fabric.set(fault.stage, lsw, *resolved);
-      pkern::set_mask_switch(masks[static_cast<std::size_t>(fault.stage - 1)],
-                             u, d, *resolved);
-    }
-  }
-}
-
-void PassSeam::apply_full_packed(Rbn& fabric, PassKind pass,
-                                 std::vector<packed::StageMasks>& masks) const {
+void PassSeam::apply_packed(PassKind pass,
+                            std::vector<packed::StageMasks>& masks) const {
   if (!armed()) return;
   for (const auto& fault :
        injector->switch_faults(route, level, pass, impl, engine)) {
     const std::size_t u = fault_site_upper_line(fault.stage, fault.index);
     const std::size_t d = std::size_t{1} << (fault.stage - 1);
+    packed::StageMasks& mk = masks[static_cast<std::size_t>(fault.stage - 1)];
     const auto resolved = resolve_and_record(
-        *this, pass, fault, fabric.setting(fault.stage, fault.index));
-    if (resolved) {
-      fabric.set(fault.stage, fault.index, *resolved);
-      pkern::set_mask_switch(masks[static_cast<std::size_t>(fault.stage - 1)],
-                             u, d, *resolved);
-    }
+        *this, pass, fault,
+        setting_from_bits(packed::plane_get(mk.su, u),
+                          packed::plane_get(mk.sl, u + d)));
+    if (resolved) pkern::set_mask_switch(mk, u, d, *resolved);
   }
 }
 

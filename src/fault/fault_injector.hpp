@@ -9,11 +9,11 @@
 // separate artifacts that can be diffed.
 //
 // The same seam serves both engines on both implementations. Scalar
-// engines patch the Rbn settings the datapath reads; the packed engine,
-// through its fabric binding (core/fabric_binding.hpp), patches both the
-// Rbn fabrics (so post-route inspection agrees) and the stage bitmasks
-// its word-parallel datapath actually consumes — in lockstep, so the two
-// engines stay bit-identical under the same plan.
+// engines patch the Rbn settings the datapath reads; the packed engine
+// patches the stage bitmasks its word-parallel datapath consumes, before
+// its fabric binding (core/fabric_binding.hpp) copies them into the Rbn
+// fabrics — so post-route inspection agrees and the two engines stay
+// bit-identical under the same plan.
 #pragma once
 
 #include <atomic>
@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "core/brsmn.hpp"
-#include "core/bsn.hpp"
 #include "core/packed_kernel.hpp"
 #include "core/rbn.hpp"
 #include "fault/fault_plan.hpp"
@@ -159,14 +158,12 @@ struct PassSeam {
   /// [line_base, line_base + fabric.size())) for this level's `pass`.
   void apply_local(Rbn& fabric, PassKind pass) const;
 
-  /// Packed unrolled: patch the per-BSN fabrics *and* the stage bitmasks
-  /// of the level kernel, in lockstep.
-  void apply_unrolled_packed(std::vector<Bsn>& level_bsns, PassKind pass,
-                             std::vector<packed::StageMasks>& masks) const;
-
-  /// Packed feedback: patch the full-width fabric and the stage bitmasks.
-  void apply_full_packed(Rbn& fabric, PassKind pass,
-                         std::vector<packed::StageMasks>& masks) const;
+  /// Packed engine, either implementation: patch the level-wide stage
+  /// masks of the level kernel (faults address full-width lines). The
+  /// fabric binding installs the patched masks into the Rbn grids
+  /// afterwards, so post-route inspection sees what the datapath ran.
+  void apply_packed(PassKind pass,
+                    std::vector<packed::StageMasks>& masks) const;
 };
 
 }  // namespace brsmn::fault

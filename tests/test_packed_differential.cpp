@@ -22,6 +22,7 @@
 #include "core/level_kernel.hpp"
 #include "core/merge_lemmas.hpp"
 #include "core/multicast_assignment.hpp"
+#include "core/rbn.hpp"
 #include "core/route_plan.hpp"
 #include "core/scatter.hpp"
 #include "obs/fabric_heatmap.hpp"
@@ -199,20 +200,26 @@ TEST(PackedDifferentialEdge, PaperExample) {
 // --- stage-mask decode ------------------------------------------------------
 //
 // The configuration sweeps write only the packed stage masks; the fabric
-// grids and plan rows are decoded from them. The decode must invert both
-// mask writers — the sweeps' run writer (fill_masks) and the fault seam's
-// single-switch writer (set_mask_switch) — at every stage of every width
-// the word layout distinguishes (in-word pairs, whole-word halves, and a
-// partial word below n = 64).
+// grids copy them in (Rbn::install) and read each switch back from its two
+// bits. The read-back must invert both mask writers — the sweeps' run
+// writer (fill_masks) and the fault seam's single-switch writer
+// (set_mask_switch) — at every stage of every width the word layout
+// distinguishes (in-word pairs, whole-word halves, and a partial word
+// below n = 64).
 
 constexpr SwitchSetting kAllSettings[] = {
     SwitchSetting::Parallel, SwitchSetting::Cross, SwitchSetting::UpperBcast,
     SwitchSetting::LowerBcast};
 
+/// Stage `stage`'s n/2 settings as a fabric holding `mk` reads them back.
 std::vector<SwitchSetting> decoded(const packed::StageMasks& mk, int stage,
                                    std::size_t n) {
+  Rbn fabric(n);
+  fabric.install(stage, mk.su, mk.sl);
   std::vector<SwitchSetting> row(n / 2);
-  pkern::decode_stage_settings(mk, stage, n, row);
+  for (std::size_t sw = 0; sw < n / 2; ++sw) {
+    row[sw] = fabric.setting(stage, sw);
+  }
   return row;
 }
 

@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <numeric>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "common/contracts.hpp"
+#include "common/rng.hpp"
+#include "core/level_kernel.hpp"
+#include "core/packed_kernel.hpp"
 
 namespace brsmn {
 namespace {
@@ -135,6 +142,114 @@ TEST(Rbn, SwitchContextReportsLinesAndStage) {
   EXPECT_EQ(seen_stage_counts[1], 4);
   EXPECT_EQ(seen_stage_counts[2], 4);
   EXPECT_EQ(seen_stage_counts[3], 4);
+}
+
+// --- the two-bit store -------------------------------------------------------
+//
+// The grid keeps each switch as its su/sl mask bits. set/setting must
+// round-trip all four settings on every switch, overwriting whatever the
+// switch held, and installing a level's datapath masks into the level's
+// per-BSN fabrics must equal setting every switch one at a time — at
+// sub-word fabric sizes (shift and mask inside a word) and multi-word ones
+// (whole-word copies).
+
+constexpr SwitchSetting kAllSettings[] = {
+    SwitchSetting::Parallel, SwitchSetting::Cross, SwitchSetting::UpperBcast,
+    SwitchSetting::LowerBcast};
+
+void expect_same_grid(const Rbn& a, const Rbn& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (int stage = 1; stage <= a.stages(); ++stage) {
+    for (std::size_t sw = 0; sw < a.size() / 2; ++sw) {
+      ASSERT_EQ(a.setting(stage, sw), b.setting(stage, sw))
+          << "n=" << a.size() << " stage=" << stage << " switch=" << sw;
+    }
+  }
+}
+
+TEST(RbnMaskStore, SetAndSettingRoundTripAllFourSettingsOnEverySwitch) {
+  for (std::size_t n = 2; n <= 256; n *= 2) {
+    Rbn rbn(n);
+    // Rotation r gives every switch each of the four settings once, each
+    // written over the previous rotation's bits.
+    for (std::size_t r = 0; r < 4; ++r) {
+      const auto pick = [r](int stage, std::size_t sw) {
+        return kAllSettings[(sw + static_cast<std::size_t>(stage) + r) % 4];
+      };
+      for (int stage = 1; stage <= rbn.stages(); ++stage) {
+        for (std::size_t sw = 0; sw < n / 2; ++sw) {
+          rbn.set(stage, sw, pick(stage, sw));
+        }
+      }
+      for (int stage = 1; stage <= rbn.stages(); ++stage) {
+        for (std::size_t sw = 0; sw < n / 2; ++sw) {
+          ASSERT_EQ(rbn.setting(stage, sw), pick(stage, sw))
+              << "n=" << n << " r=" << r << " stage=" << stage
+              << " switch=" << sw;
+        }
+      }
+    }
+    rbn.reset();
+    expect_same_grid(rbn, Rbn(n));
+  }
+}
+
+TEST(RbnMaskStore, LevelWideInstallEqualsPerSwitchSet) {
+  Rng rng(test_seed(9300));
+  for (std::size_t n = 4; n <= 256; n *= 2) {
+    const int m = static_cast<int>(std::countr_zero(n));
+    // Level k's BSNs span 2^S lines, S = m - k + 1, k = 1..m-1.
+    for (int S = m; S >= 2; --S) {
+      const std::size_t bsn_size = std::size_t{1} << S;
+      std::vector<std::vector<SwitchSetting>> want(
+          static_cast<std::size_t>(S), std::vector<SwitchSetting>(n / 2));
+      std::vector<packed::StageMasks> masks(static_cast<std::size_t>(S));
+      for (int j = 1; j <= S; ++j) {
+        const std::size_t d = std::size_t{1} << (j - 1);
+        auto& mk = masks[static_cast<std::size_t>(j - 1)];
+        mk.resize(packed::words_for(n));
+        for (std::size_t g = 0; g < n / 2; ++g) {
+          const SwitchSetting s = kAllSettings[rng.uniform(0, 3)];
+          want[static_cast<std::size_t>(j - 1)][g] = s;
+          pkern::set_mask_switch(mk, (g / d) * 2 * d + g % d, d, s);
+        }
+      }
+      for (std::size_t bb = 0; bb < n / bsn_size; ++bb) {
+        Rbn installed(bsn_size);
+        Rbn reference(bsn_size);
+        // Stale settings from an earlier route must not survive.
+        for (int j = 1; j <= S; ++j) {
+          for (std::size_t sw = 0; sw < bsn_size / 2; ++sw) {
+            installed.set(j, sw, kAllSettings[rng.uniform(0, 3)]);
+          }
+        }
+        for (int j = 1; j <= S; ++j) {
+          const auto& mk = masks[static_cast<std::size_t>(j - 1)];
+          installed.install(j, mk.su, mk.sl, bb * bsn_size);
+          for (std::size_t sw = 0; sw < bsn_size / 2; ++sw) {
+            reference.set(j, sw,
+                          want[static_cast<std::size_t>(j - 1)]
+                              [bb * bsn_size / 2 + sw]);
+          }
+        }
+        SCOPED_TRACE("n=" + std::to_string(n) + " S=" + std::to_string(S) +
+                     " bsn=" + std::to_string(bb));
+        expect_same_grid(installed, reference);
+      }
+    }
+  }
+}
+
+TEST(RbnMaskStore, InstallChecksAlignmentAndWidth) {
+  packed::StageMasks mk;
+  mk.resize(packed::words_for(64));
+  Rbn rbn(16);
+  EXPECT_THROW(rbn.install(1, mk.su, mk.sl, 8), ContractViolation);
+  EXPECT_THROW(rbn.install(5, mk.su, mk.sl, 0), ContractViolation);
+  Rbn wide(128);
+  EXPECT_THROW(wide.install(1, std::span(mk.su).first(1),
+                            std::span(mk.sl).first(1)),
+               ContractViolation);
 }
 
 }  // namespace

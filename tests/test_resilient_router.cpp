@@ -421,44 +421,6 @@ TEST(ResilientRouter, ExhaustiveStuckSweepNeverWrongDelivery) {
   EXPECT_GT(delivered, 0u);  // masked sites deliver on the primary path
 }
 
-TEST(ResilientRouter, BatchFastPathAndFaultedRerun) {
-  const std::size_t n = 16;
-  Rng rng(test_seed(77));
-  std::vector<MulticastAssignment> batch;
-  for (int i = 0; i < 8; ++i) batch.push_back(random_multicast(n, 0.6, rng));
-
-  // Clean batch: fast path, all Delivered.
-  ResilientRouter clean(n);
-  const auto clean_outcomes = clean.route_batch(batch);
-  ASSERT_EQ(clean_outcomes.size(), batch.size());
-  Brsmn serial(n);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(clean_outcomes[i].outcome, RouteOutcome::Delivered);
-    ASSERT_TRUE(clean_outcomes[i].result.has_value());
-    EXPECT_EQ(clean_outcomes[i].result->delivered,
-              serial.route(batch[i]).delivered);
-  }
-
-  // Faulted batch: an always-active unrolled-scoped fault poisons the
-  // fast path; the rerun resolves every request through the ladder with
-  // no wrong deliveries.
-  fault::FaultSpec f = find_detected_site(n, sweep_assignment(n));
-  f.impl = fault::ImplKind::Unrolled;
-  fault::FaultInjector injector(fault::FaultPlan{n, {f}});
-  ResilientOptions options;
-  options.faults = &injector;
-  ResilientRouter router(n, options);
-  const auto outcomes = router.route_batch(batch);
-  ASSERT_EQ(outcomes.size(), batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    SCOPED_TRACE(i);
-    ASSERT_NE(outcomes[i].outcome, RouteOutcome::Failed);
-    ASSERT_TRUE(outcomes[i].result.has_value());
-    EXPECT_EQ(outcomes[i].result->delivered,
-              expected_delivery(batch[i]));
-  }
-}
-
 TEST(ResilientRouter, OutcomeNames) {
   EXPECT_EQ(outcome_name(RouteOutcome::Delivered), "delivered");
   EXPECT_EQ(outcome_name(RouteOutcome::DeliveredDegraded),

@@ -435,5 +435,45 @@ TEST(RoutePlanFootprint, WarmCompileBytesGrowLikeThePlan) {
   }
 }
 
+/// Heap bytes one warm compile_route spends on its plan: the bytes of a
+/// warm compile_route of `a` less those of a warm cold route of `a` on
+/// the same network with no plan (both counted exactly, in one process).
+template <typename Net>
+std::uint64_t warm_plan_bytes(const MulticastAssignment& a) {
+  Net net(a.size());
+  RouteOptions opts;
+  opts.engine = RouteEngine::Packed;
+  {
+    RoutePlan warmup;
+    planner::compile_route(net, a, opts, warmup);
+    net.route(a, opts);
+  }
+  std::uint64_t before = g_heap_bytes.load(std::memory_order_relaxed);
+  net.route(a, opts);
+  const std::uint64_t route_bytes =
+      g_heap_bytes.load(std::memory_order_relaxed) - before;
+  before = g_heap_bytes.load(std::memory_order_relaxed);
+  RoutePlan plan;
+  planner::compile_route(net, a, opts, plan);
+  return g_heap_bytes.load(std::memory_order_relaxed) - before - route_bytes;
+}
+
+TEST(RoutePlanFootprint, WarmCompileStoresEachDecisionOnce) {
+  // A plan keeps each switch decision once, as its two datapath mask
+  // bits. Storing one SwitchSetting byte per switch beside the masks, as
+  // plans did before, cost this many plan bytes on the same compiles;
+  // dropping the byte rows must save at least 35% of them.
+  constexpr std::uint64_t kUnrolledBytesWithRows = 153568;
+  constexpr std::uint64_t kFeedbackBytesWithRows = 153568;
+  Rng rng(8710);  // fixed, not test_seed(): the counts above are exact
+  const MulticastAssignment a = random_multicast(1024, 0.6, rng);
+  const std::uint64_t unrolled = warm_plan_bytes<Brsmn>(a);
+  const std::uint64_t feedback = warm_plan_bytes<FeedbackBrsmn>(a);
+  RecordProperty("unrolled plan bytes n=1024", std::to_string(unrolled));
+  RecordProperty("feedback plan bytes n=1024", std::to_string(feedback));
+  EXPECT_LE(unrolled, kUnrolledBytesWithRows * 65 / 100) << unrolled;
+  EXPECT_LE(feedback, kFeedbackBytesWithRows * 65 / 100) << feedback;
+}
+
 }  // namespace
 }  // namespace brsmn

@@ -433,9 +433,7 @@ void expect_plan_levels_eq(const PlanLevel& a, const PlanLevel& b) {
   EXPECT_EQ(a.entry_t1, b.entry_t1);
   EXPECT_EQ(a.entry_t2, b.entry_t2);
   expect_masks_eq(a.scatter_masks, b.scatter_masks, "scatter");
-  EXPECT_EQ(a.scatter_settings, b.scatter_settings);
   expect_masks_eq(a.quasisort_masks, b.quasisort_masks, "quasisort");
-  EXPECT_EQ(a.quasisort_settings, b.quasisort_settings);
   ASSERT_EQ(a.events.size(), b.events.size());
   for (std::size_t s = 0; s < a.events.size(); ++s) {
     ASSERT_EQ(a.events[s].size(), b.events[s].size()) << "stage " << s + 1;

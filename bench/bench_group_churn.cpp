@@ -217,13 +217,15 @@ void BM_GroupChurnService(benchmark::State& state) {
     }
   }
 
+  brsmn::DestinationLists lists;
   for (auto _ : state) {
     const brsmn::api::GroupId id = rng.uniform(0, group_count - 1);
     const auto snap = groups.snapshot(id);
+    snap.assignment.destination_lists(lists);
     // Mutate: move one member if the group is populated, else seed one.
     bool mutated = false;
     for (std::size_t src = 0; src < n && !mutated; ++src) {
-      const auto& dsts = snap.assignment.destinations(src);
+      const auto dsts = lists.of(src);
       if (dsts.empty()) continue;
       const std::size_t dst = dsts[rng.uniform(0, dsts.size() - 1)];
       groups.leave(id, src, dst);

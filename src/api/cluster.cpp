@@ -348,9 +348,8 @@ void Cluster::serve(Shard& shard, std::size_t shard_index,
     }
     if (config_.verify_delivery && out.request.result.has_value() &&
         request.assignment.has_value()) {
-      out.misdelivered =
-          out.request.result->delivered !=
-          expected_delivery(*request.assignment);
+      out.misdelivered = !request.assignment->matches_delivery(
+          out.request.result->delivered);
     }
   } catch (...) {
     // Non-fault errors (contract violations) propagate to the waiter;

@@ -12,19 +12,6 @@
 
 namespace brsmn::api {
 
-namespace {
-
-bool same_assignment(const MulticastAssignment& a,
-                     const MulticastAssignment& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a.destinations(i) != b.destinations(i)) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 std::string_view group_route_mode_name(GroupRouteMode mode) {
   switch (mode) {
     case GroupRouteMode::Uncached: return "uncached";
@@ -196,7 +183,7 @@ GroupRouteReport GroupManager::route_impl(GroupId group, Net& net,
 
   // 2. Patch from the plan compiled for this group's previous
   //    assignment, if the cache still holds it.
-  if (base.has_value() && !same_assignment(*base, *assignment)) {
+  if (base.has_value() && *base != *assignment) {
     if (PlanCache::PlanPtr base_plan =
             cache.lookup(*base, IMPL, options.explain)) {
       auto patched = std::make_shared<RoutePlan>();

@@ -55,15 +55,6 @@ RouteOptions ParallelRouter::worker_options() const {
 
 namespace {
 
-bool same_assignment(const MulticastAssignment& a,
-                     const MulticastAssignment& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a.destinations(i) != b.destinations(i)) return false;
-  }
-  return true;
-}
-
 /// The per-worker scope ParallelRouter wraps around a pool run: one
 /// batch-latency sample and one trace lane per worker.
 struct WorkerScope {
@@ -99,7 +90,7 @@ std::vector<RouteResult> ParallelRouter::route_batch(
       rep[i] = i;
       auto& bucket = buckets[assignment_fingerprint(batch[i])];
       for (const std::size_t j : bucket) {
-        if (same_assignment(batch[j], batch[i])) {
+        if (batch[j] == batch[i]) {
           rep[i] = j;
           ++duplicates;
           break;

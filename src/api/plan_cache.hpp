@@ -7,10 +7,13 @@
 // a repeat route degenerates to route_replay: install the stored
 // settings and drive the datapath.
 //
-// Keys are canonical: a 64-bit FNV-1a hash of the destination lists
-// selects the shard and bucket, and an exact flattened-key comparison
-// guards against collisions — two distinct assignments never share an
-// entry, no matter how their hashes land (exercised by the
+// Keys are canonical: the assignment's memoized fingerprint with the
+// implementation hashed in (MulticastAssignment::tagged_fingerprint,
+// computed in the same pass as the placement fingerprint) selects the
+// shard and bucket, and the key itself is the flat src_of array
+// (core/multicast_assignment.hpp), compared with one memcmp to guard
+// against collisions — two distinct assignments never share an entry,
+// no matter how their hashes land (exercised by the
 // force_hash_collisions test hook).
 //
 // Thread safety: the cache is sharded, each shard holding its own mutex,
@@ -98,7 +101,8 @@ class PlanCache {
  private:
   struct Entry {
     std::uint64_t hash = 0;
-    std::vector<std::uint64_t> key;  ///< flattened exact key
+    fault::ImplKind impl = fault::ImplKind::Unrolled;
+    std::vector<std::uint32_t> key;  ///< the assignment's src_of array
     PlanPtr plan;
   };
   struct Shard {
@@ -112,11 +116,12 @@ class PlanCache {
   }
   std::uint64_t key_hash(const MulticastAssignment& assignment,
                          fault::ImplKind impl) const;
-  /// Erase the (hash, exact key) entry of `shard` if present; returns
-  /// whether one was erased. Caller holds the shard mutex.
+  /// Move the (hash, exact key) entry of `shard`, if present, to the end
+  /// of `released`, so the caller frees it after unlocking; returns
+  /// whether one was found. Caller holds the shard mutex.
   bool erase_locked(Shard& shard, std::uint64_t hash,
                     const MulticastAssignment& assignment,
-                    fault::ImplKind impl);
+                    fault::ImplKind impl, std::list<Entry>& released);
 
   std::vector<Shard> shards_;  ///< sized once; mutexes never move
   std::size_t per_shard_cap_;

@@ -13,10 +13,10 @@ std::vector<std::optional<std::size_t>> CopyRouteMulticast::route(
   BRSMN_EXPECTS(assignment.size() == n);
 
   // Stage 1: make |I_i| copies of each input's packet.
+  DestinationLists lists;
+  assignment.destination_lists(lists);
   std::vector<std::size_t> copies(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    copies[i] = assignment.destinations(i).size();
-  }
+  for (std::size_t i = 0; i < n; ++i) copies[i] = lists.of(i).size();
   const auto copied = copy_.route(copies, stats);
 
   // Stage 2: each copy line takes one destination of its source (copies
@@ -29,7 +29,7 @@ std::vector<std::optional<std::size_t>> CopyRouteMulticast::route(
   for (std::size_t line = 0; line < n; ++line) {
     if (!copied[line]) continue;
     const std::size_t src = *copied[line];
-    const auto& dests = assignment.destinations(src);
+    const auto dests = lists.of(src);
     BRSMN_ENSURES(cursor[src] < dests.size());
     dest[line] = dests[cursor[src]++];
     output_used[dest[line]] = true;

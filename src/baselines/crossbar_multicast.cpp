@@ -13,9 +13,9 @@ std::vector<std::optional<std::size_t>> CrossbarMulticast::route(
     const MulticastAssignment& assignment) const {
   BRSMN_EXPECTS(assignment.size() == n_);
   std::vector<std::optional<std::size_t>> delivered(n_);
-  const auto inv = assignment.output_to_input();
+  const auto src_of = assignment.src_of();
   for (std::size_t out = 0; out < n_; ++out) {
-    if (inv[out] != MulticastAssignment::kUnassigned) delivered[out] = inv[out];
+    if (src_of[out] != MulticastAssignment::kIdle) delivered[out] = src_of[out];
   }
   return delivered;
 }

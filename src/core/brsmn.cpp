@@ -17,9 +17,9 @@ namespace brsmn {
 std::vector<std::optional<std::size_t>> expected_delivery(
     const MulticastAssignment& a) {
   std::vector<std::optional<std::size_t>> expected(a.size());
-  const auto inv = a.output_to_input();
+  const auto src_of = a.src_of();
   for (std::size_t out = 0; out < a.size(); ++out) {
-    if (inv[out] != MulticastAssignment::kUnassigned) expected[out] = inv[out];
+    if (src_of[out] != MulticastAssignment::kIdle) expected[out] = src_of[out];
   }
   return expected;
 }
@@ -27,9 +27,13 @@ std::vector<std::optional<std::size_t>> expected_delivery(
 std::vector<LineValue> initial_lines(const MulticastAssignment& a,
                                      std::uint64_t& next_copy_id) {
   std::vector<LineValue> lines(a.size());
+  DestinationLists lists;
+  a.destination_lists(lists);
+  std::vector<std::size_t> dests;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    const auto& dests = a.destinations(i);
-    if (dests.empty()) continue;
+    const auto d = lists.of(i);
+    if (d.empty()) continue;
+    dests.assign(d.begin(), d.end());
     Packet p;
     p.source = i;
     p.copy_id = next_copy_id++;
@@ -283,11 +287,11 @@ RouteResult Brsmn::route(const MulticastAssignment& assignment,
     result.broadcasts_per_level.push_back(result.stats.broadcast_ops -
                                           splits_before_final);
 
-    const auto expected = expected_delivery(assignment);
     if (checking) {
-      fault::self_check_delivery(result.delivered, expected, m_, route_ord);
+      fault::self_check_delivery(result.delivered, assignment.src_of(), m_,
+                                 route_ord);
     }
-    BRSMN_ENSURES_MSG(result.delivered == expected,
+    BRSMN_ENSURES_MSG(assignment.matches_delivery(result.delivered),
                       "BRSMN routed assignment incorrectly");
   } catch (const fault::FaultDetected& e) {
     if (options.explain && result.explanation.has_value()) {

@@ -215,11 +215,11 @@ RouteResult FeedbackBrsmn::route(const MulticastAssignment& assignment,
                                           splits_before_final);
     ++result.stats.fabric_passes;
 
-    const auto expected = expected_delivery(assignment);
     if (checking) {
-      fault::self_check_delivery(result.delivered, expected, m, route_ord);
+      fault::self_check_delivery(result.delivered, assignment.src_of(), m,
+                                 route_ord);
     }
-    BRSMN_ENSURES_MSG(result.delivered == expected,
+    BRSMN_ENSURES_MSG(assignment.matches_delivery(result.delivered),
                       "feedback BRSMN routed assignment incorrectly");
   } catch (const fault::FaultDetected& e) {
     if (options.explain && result.explanation.has_value()) {

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/line_value.hpp"
+#include "core/multicast_assignment.hpp"
 #include "core/packed_kernel.hpp"
 #include "core/switch_setting.hpp"
 
@@ -228,9 +229,10 @@ struct CompileWorkspace {
   /// gather's double buffer.
   std::vector<LineRecord> lines;
   std::vector<LineRecord> line_buf;
-  /// Every source's sorted destinations, concatenated in source order:
-  /// the array LineRecord ranges index.
-  std::vector<std::uint32_t> dests;
+  /// The assignment's per-input view: every source's sorted
+  /// destinations, concatenated in source order in dests.outputs, the
+  /// array LineRecord ranges index.
+  DestinationLists dests;
   std::vector<std::uint8_t> side_done;    ///< per-event first-copy latch
   /// The final level's head tags and sources.
   std::vector<Tag> heads;
@@ -243,7 +245,6 @@ struct CompileWorkspace {
         sources(n) {
     lines.reserve(n);
     line_buf.reserve(n);
-    dests.reserve(n);
     type.reserve(n / 2);
     start.reserve(n / 2);
     next.reserve(n / 2);

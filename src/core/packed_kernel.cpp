@@ -844,22 +844,22 @@ void configure_quasisort_packed(pkern::CompileWorkspace& ws,
 
 /// The route's initial line records: input i holds copy `next_copy_id++`
 /// of its message (ids handed out in input order, as initial_lines does)
-/// with its whole sorted destination list, which is appended to the
-/// workspace's flat destination array.
+/// with its whole sorted destination list, a range of the workspace's
+/// per-input view of the assignment.
 void begin_lines(pkern::CompileWorkspace& ws,
                  const MulticastAssignment& assignment,
                  std::uint64_t& next_copy_id) {
   const std::size_t n = assignment.size();
-  ws.dests.clear();
+  assignment.destination_lists(ws.dests);
   ws.lines.assign(n, LineRecord{});
   for (std::size_t i = 0; i < n; ++i) {
-    const auto& d = assignment.destinations(i);
-    if (d.empty()) continue;
+    const std::uint32_t lo = ws.dests.offsets[i];
+    const std::uint32_t hi = ws.dests.offsets[i + 1];
+    if (lo == hi) continue;
     LineRecord& r = ws.lines[i];
     r.source = static_cast<std::uint32_t>(i);
-    r.lo = static_cast<std::uint32_t>(ws.dests.size());
-    ws.dests.insert(ws.dests.end(), d.begin(), d.end());
-    r.hi = static_cast<std::uint32_t>(ws.dests.size());
+    r.lo = lo;
+    r.hi = hi;
     r.copy_id = next_copy_id++;
     r.parent_id = r.copy_id;
   }
@@ -879,7 +879,8 @@ std::vector<LineValue> line_values(const pkern::CompileWorkspace& ws,
   for (std::size_t i = 0; i < ws.lines.size(); ++i) {
     const LineRecord& r = ws.lines[i];
     if (r.empty()) continue;
-    rebased.assign(ws.dests.begin() + r.lo, ws.dests.begin() + r.hi);
+    rebased.assign(ws.dests.outputs.begin() + r.lo,
+                   ws.dests.outputs.begin() + r.hi);
     for (std::size_t& d : rebased) d &= block - 1;
     Packet p{r.source, r.copy_id, r.parent_id, {}};
     encode_sequence_into(rebased, block, p.stream);
@@ -912,7 +913,7 @@ void gather_lines(pkern::CompileWorkspace& ws, int bit) {
   std::vector<LineRecord>& prev = ws.lines;
   std::vector<LineRecord>& out = ws.line_buf;
   out.resize(n);
-  const std::uint32_t* dests = ws.dests.data();
+  const std::uint32_t* dests = ws.dests.outputs.data();
   const std::size_t wpl = kx.state.words_per_plane();
   kx.ops->tag_unpack(kx.tag_plane(0).data(), kx.tag_plane(1).data(),
                      kx.tag_plane(2).data(), kx.tag_bytes.data(), wpl);
@@ -1033,7 +1034,7 @@ void deliver_final_lines(pkern::CompileWorkspace& ws,
   sources.assign(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
     const LineRecord& r = ws.lines[i];
-    heads[i] = pkern::head_tag(r, ws.dests.data(), 0);
+    heads[i] = pkern::head_tag(r, ws.dests.outputs.data(), 0);
     if (!r.empty()) sources[i] = r.source;
   }
   deliver_final_heads(heads, sources, delivered, stats, explain);
@@ -1042,7 +1043,7 @@ void deliver_final_lines(pkern::CompileWorkspace& ws,
 /// Load the tag planes of the line state entering the final 2x2-switch
 /// level (head tags at address bit 0).
 void load_final_level(pkern::CompileWorkspace& ws) {
-  load_lines(ws.kx, ws.lines, ws.dests.data(), 0);
+  load_lines(ws.kx, ws.lines, ws.dests.outputs.data(), 0);
 }
 
 /// Copy the final level's entry tag planes (load_final_level) into the
@@ -1420,7 +1421,12 @@ namespace {
 template <typename Fabric>
 void reuse_level(Fabric& fabric, pkern::RouteFrame& f, int k,
                  const PlanLevel& old, const RoutePlan& base) {
-  fabric.install(PassKind::Scatter, k, old.scatter_masks);
+  // The feedback fabric is one physical BSN that the quasisort install
+  // overwrites whole, and no datapath runs in between, so its scatter
+  // install would be S stage copies nobody reads.
+  if constexpr (Fabric::kImpl == fault::ImplKind::Unrolled) {
+    fabric.install(PassKind::Scatter, k, old.scatter_masks);
+  }
   fabric.install(PassKind::Quasisort, k, old.quasisort_masks);
   LevelKernel& kx = f.ws.kx;
   BRSMN_EXPECTS(old.post_quasisort.size() == kx.state.words().size());
@@ -1555,7 +1561,7 @@ planner::PatchOutcome drive_packed(Fabric fabric,
                               options.fault_activity);
       kx.begin_level(S);
       kx.heat_level = k;
-      load_lines(kx, ws.lines, ws.dests.data(), S - 1);
+      load_lines(kx, ws.lines, ws.dests.outputs.data(), S - 1);
       const PlanLevel* old =
           base != nullptr ? &base->levels[static_cast<std::size_t>(k - 1)]
                           : nullptr;
@@ -1614,11 +1620,11 @@ planner::PatchOutcome drive_packed(Fabric fabric,
                                           splits_before_final);
     result.stats.fabric_passes += Fabric::kFinalPasses;
 
-    const auto expected = expected_delivery(assignment);
     if (checking) {
-      fault::self_check_delivery(result.delivered, expected, m, route_ord);
+      fault::self_check_delivery(result.delivered, assignment.src_of(), m,
+                                 route_ord);
     }
-    BRSMN_ENSURES_MSG(result.delivered == expected,
+    BRSMN_ENSURES_MSG(assignment.matches_delivery(result.delivered),
                       "packed BRSMN route delivered incorrectly");
   } catch (const fault::FaultDetected& e) {
     if (options.explain && result.explanation.has_value()) {

@@ -292,18 +292,7 @@ void FeedbackBrsmn::route_replay_into(const RoutePlan& plan,
 }
 
 std::uint64_t assignment_fingerprint(const MulticastAssignment& a) {
-  std::uint64_t h = 14695981039346656037ull;  // FNV-1a 64 offset basis
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;  // FNV-1a 64 prime
-  };
-  mix(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const auto& dests = a.destinations(i);
-    mix(dests.size());
-    for (const std::size_t d : dests) mix(d);
-  }
-  return h;
+  return a.fingerprint();
 }
 
 namespace planner {

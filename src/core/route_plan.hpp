@@ -97,9 +97,10 @@ struct RoutePlan {
   std::optional<RouteExplanation> explanation;
 };
 
-/// Canonical 64-bit fingerprint of (assignment), FNV-1a over the size and
-/// destination lists. Shared by the plan cache's key hash and
-/// ParallelRouter's batch deduplication.
+/// Canonical 64-bit fingerprint of (assignment):
+/// MulticastAssignment::fingerprint, computed once per assignment and
+/// carried by its copies. Shared by shard placement, the plan cache's
+/// bucket hash, ParallelRouter's batch deduplication and group routes.
 std::uint64_t assignment_fingerprint(const MulticastAssignment& a);
 
 namespace planner {

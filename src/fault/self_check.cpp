@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
+
+#include "core/multicast_assignment.hpp"
 
 namespace brsmn::fault {
 
@@ -127,21 +130,21 @@ void self_check_level(std::span<const LineRecord> lines, int level,
 
 void self_check_delivery(
     const std::vector<std::optional<std::size_t>>& delivered,
-    const std::vector<std::optional<std::size_t>>& expected, int level,
-    std::uint64_t route) {
-  const std::size_t n = expected.size();
+    std::span<const std::uint32_t> src_of, int level, std::uint64_t route) {
+  const std::size_t n = src_of.size();
   for (std::size_t out = 0; out < n; ++out) {
-    if (delivered[out] == expected[out]) continue;
-    std::ostringstream os;
-    os << "self-check: output " << out << " ";
-    if (!delivered[out].has_value()) {
-      os << "received nothing (expected input " << *expected[out] << ")";
-    } else if (!expected[out].has_value()) {
-      os << "received input " << *delivered[out] << " (expected nothing)";
-    } else {
-      os << "received input " << *delivered[out] << " (expected input "
-         << *expected[out] << ")";
+    const bool idle = src_of[out] == MulticastAssignment::kIdle;
+    if (delivered[out].has_value() != idle &&
+        (idle || *delivered[out] == src_of[out])) {
+      continue;
     }
+    const auto name = [](bool some, std::size_t input) {
+      return some ? "input " + std::to_string(input) : std::string("nothing");
+    };
+    std::ostringstream os;
+    os << "self-check: output " << out << " received "
+       << name(delivered[out].has_value(), delivered[out].value_or(0))
+       << " (expected " << name(!idle, src_of[out]) << ")";
     fail(n, route, level, PassKind::Final, os.str());
   }
 }

@@ -42,13 +42,13 @@ void self_check_level(const std::vector<LineValue>& lines, int level,
 void self_check_level(std::span<const LineRecord> lines, int level,
                       std::uint64_t route);
 
-/// Typed delivery oracle: `delivered` must equal `expected`. Throws
+/// Typed delivery oracle: `delivered` must match the assignment's
+/// src_of array (MulticastAssignment::kIdle: nothing). Throws
 /// FaultDetected naming the first mismatching output; the drivers' legacy
 /// delivery ENSURES stays behind it as a belt-and-braces check.
 void self_check_delivery(
     const std::vector<std::optional<std::size_t>>& delivered,
-    const std::vector<std::optional<std::size_t>>& expected, int level,
-    std::uint64_t route);
+    std::span<const std::uint32_t> src_of, int level, std::uint64_t route);
 
 /// Run `fn`, rethrowing ContractViolation as FaultDetected tagged with
 /// the detection point. An inner FaultDetected passes through untouched

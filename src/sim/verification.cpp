@@ -27,7 +27,7 @@ VerificationReport verify_route(const MulticastAssignment& assignment,
   const std::size_t n = assignment.size();
 
   // 1) Delivery matches the assignment exactly.
-  if (result.delivered != expected_delivery(assignment)) {
+  if (!assignment.matches_delivery(result.delivered)) {
     report.fail("delivered vector does not match the assignment");
   }
 
@@ -45,6 +45,8 @@ VerificationReport verify_route(const MulticastAssignment& assignment,
 
   // 3) Captured-level checks.
   if (!result.level_inputs.empty()) {
+    DestinationLists lists;
+    assignment.destination_lists(lists);
     if (!trace::copies_monotone(result)) {
       report.fail("per-source copy counts not monotone across levels");
     }
@@ -77,7 +79,7 @@ VerificationReport verify_route(const MulticastAssignment& assignment,
       }
       // The owed destinations at every level must be exactly I_source.
       for (std::size_t src = 0; src < n; ++src) {
-        const auto& dests = assignment.destinations(src);
+        const auto dests = lists.of(src);
         const auto it = owed.find(src);
         const std::set<std::size_t> got =
             it == owed.end() ? std::set<std::size_t>{}

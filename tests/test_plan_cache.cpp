@@ -12,10 +12,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/parallel_router.hpp"
@@ -153,6 +155,50 @@ TEST(PlanCacheLru, ReinsertReplacesInsteadOfDuplicating) {
   EXPECT_EQ(*hit.explanation, *recompiled.explanation);
   net.route(a, cached_options(cache));
   EXPECT_EQ(cache.hits(), 2u);
+}
+
+/// What a lock-probing plan's destructor saw.
+struct LockProbe {
+  std::thread prober;              ///< joined by the test
+  std::atomic<bool> through{false};  ///< the prober got every shard lock
+  bool free_at_destruction = false;
+};
+
+/// A plan whose destructor checks that the cache's shard mutex is free:
+/// it starts a thread that takes every shard lock (PlanCache::size) and
+/// waits up to two seconds for it. Freed under the lock, the probe would
+/// still be blocked when the wait ends.
+api::PlanCache::PlanPtr lock_probing_plan(api::PlanCache& cache,
+                                          LockProbe& probe) {
+  return {new RoutePlan, [&cache, &probe](const RoutePlan* p) {
+            delete p;
+            probe.prober = std::thread([&cache, &probe] {
+              cache.size();
+              probe.through = true;
+            });
+            for (int i = 0; i < 200 && !probe.through; ++i) {
+              std::this_thread::sleep_for(std::chrono::milliseconds(10));
+            }
+            probe.free_at_destruction = probe.through;
+          }};
+}
+
+TEST(PlanCacheLru, EvictedAndReplacedPlansAreFreedOutsideTheShardLock) {
+  const std::size_t n = 16;
+  api::PlanCache cache({.capacity = 1, .shards = 1});
+  for (const bool evict : {true, false}) {
+    SCOPED_TRACE(evict ? "evicted" : "replaced");
+    LockProbe probe;
+    cache.insert(salted_assignment(n, 1), fault::ImplKind::Unrolled,
+                 lock_probing_plan(cache, probe));
+    cache.insert(salted_assignment(n, evict ? 2 : 1),
+                 fault::ImplKind::Unrolled, std::make_shared<RoutePlan>());
+    ASSERT_TRUE(probe.prober.joinable());
+    probe.prober.join();
+    EXPECT_TRUE(probe.free_at_destruction);
+    EXPECT_EQ(cache.size(), 1u);
+  }
+  EXPECT_EQ(cache.evictions(), 2u);  // the second round's insert evicts too
 }
 
 // --- exact keys under collisions -------------------------------------------

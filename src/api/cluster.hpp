@@ -32,7 +32,7 @@
 // Delivery contract: every submitted request resolves to exactly one
 // ClusterOutcome — Delivered, DeliveredDegraded, Failed, or rejected at
 // admission — and a Delivered result is the *correct* delivery vector
-// (optionally re-verified against core expected_delivery with
+// (optionally re-verified against the assignment's src_of with
 // verify_delivery). Nothing is silently dropped and nothing is
 // misdelivered; the cluster.* counters prove the conservation.
 #pragma once
@@ -137,9 +137,9 @@ struct ClusterConfig {
   /// shorter than `shards`; missing entries mean no injector. Injectors
   /// must outlive the cluster.
   std::vector<fault::FaultInjector*> shard_faults{};
-  /// Re-check every successful delivery vector against core
-  /// expected_delivery; mismatches count as misdeliveries (cluster
-  /// bench gate). Costs one reference routing per request.
+  /// Re-check every successful delivery vector against the
+  /// assignment (MulticastAssignment::matches_delivery); mismatches
+  /// count as misdeliveries (cluster bench gate). Costs one O(n) pass.
   bool verify_delivery = false;
   /// Per-worker fabric heatmaps, merged and readable via heatmap().
   bool heatmap = false;

@@ -1411,13 +1411,15 @@ void pkern::FeedbackFabric::compile_level(RouteFrame& f, int k,
 
 namespace {
 
-/// Adopt one stored level verbatim during a patch: install its stored
-/// masks into the fabric (leaving the grids a cold compile of the level
-/// leaves), restore the post-quasisort checkpoint and event bookkeeping,
-/// re-emit the stored explanation passes, and advance the line state to
-/// the level's stored outcome. Copy ids keep tracking the cold allocation
-/// order because every preceding level — reused or recompiled — produced
-/// exactly the events a cold compile of the new assignment would.
+/// Adopt one stored level during a patch (the caller shares the level
+/// itself into the new plan, by reference): install its stored masks into
+/// the fabric (leaving the grids a cold compile of the level leaves),
+/// restore the post-quasisort checkpoint and event bookkeeping, re-emit
+/// the stored explanation passes, run the level's self-check, and advance
+/// the line state to the level's stored outcome. Copy ids keep tracking
+/// the cold allocation order because every preceding level — reused or
+/// recompiled — produced exactly the events a cold compile of the new
+/// assignment would.
 template <typename Fabric>
 void reuse_level(Fabric& fabric, pkern::RouteFrame& f, int k,
                  const PlanLevel& old, const RoutePlan& base) {
@@ -1455,7 +1457,9 @@ void reuse_level(Fabric& fabric, pkern::RouteFrame& f, int k,
 /// checkpoint and recompiling the rest through the binding's level body;
 /// a cold compile is the same walk with no base — no level is clean and
 /// the walk never abandons. A non-null `plan` captures the compiled route
-/// plan (a patch always passes its output plan). `patched` is false only
+/// plan (a patch always passes its output plan): an adopted level goes
+/// in as another reference to `base`'s immutable level, and only a
+/// recompiled one allocates a fresh PlanLevel. `patched` is false only
 /// for a patch that was abandoned or refused.
 template <typename Fabric>
 planner::PatchOutcome drive_packed(Fabric fabric,
@@ -1562,9 +1566,9 @@ planner::PatchOutcome drive_packed(Fabric fabric,
       kx.begin_level(S);
       kx.heat_level = k;
       load_lines(kx, ws.lines, ws.dests.outputs.data(), S - 1);
+      const auto slot = static_cast<std::size_t>(k - 1);
       const PlanLevel* old =
-          base != nullptr ? &base->levels[static_cast<std::size_t>(k - 1)]
-                          : nullptr;
+          base != nullptr ? base->levels[slot].get() : nullptr;
       const bool clean =
           old != nullptr && old->stages == S && entry_planes_match(kx, *old);
       if (!clean) {
@@ -1574,19 +1578,21 @@ planner::PatchOutcome drive_packed(Fabric fabric,
         }
       }
       obs::TraceSpan span = level_span(probe.tracer, k);
-      PlanLevel* pl = plan != nullptr ? &plan->levels.emplace_back() : nullptr;
       if (clean) {
-        *pl = *old;
+        plan->levels.push_back(base->levels[slot]);
         reuse_level(fabric, f, k, *old, *base);
         ++outcome.levels_reused;
       } else {
-        if (pl != nullptr) {
+        std::shared_ptr<PlanLevel> pl;
+        if (plan != nullptr) {
+          pl = std::make_shared<PlanLevel>();
           pl->stages = S;
           pl->entry_t0.assign(kx.tag_plane(0).begin(), kx.tag_plane(0).end());
           pl->entry_t1.assign(kx.tag_plane(1).begin(), kx.tag_plane(1).end());
           pl->entry_t2.assign(kx.tag_plane(2).begin(), kx.tag_plane(2).end());
         }
-        fabric.compile_level(f, k, pl);
+        fabric.compile_level(f, k, pl.get());
+        if (plan != nullptr) plan->levels.push_back(std::move(pl));
         ++outcome.levels_recompiled;
       }
     }

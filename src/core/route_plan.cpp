@@ -134,7 +134,7 @@ void replay_core(Fabric fabric, const RoutePlan& plan,
   kx.ops = &simd::ops(options.simd_backend);
 
   for (int k = 1; k <= m - 1; ++k) {
-    const PlanLevel& pl = plan.levels[static_cast<std::size_t>(k - 1)];
+    const PlanLevel& pl = *plan.levels[static_cast<std::size_t>(k - 1)];
     const int S = pl.stages;
     kx.stages = S;
     // The workspace kernel persists across replays; (re)binding the

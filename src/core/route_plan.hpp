@@ -23,6 +23,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -81,7 +82,11 @@ struct RoutePlan {
   fault::ImplKind impl = fault::ImplKind::Unrolled;
   std::size_t wcode = 0;  ///< code-plane count the checkpoints were taken at
 
-  std::vector<PlanLevel> levels;  ///< levels[k-1], k = 1..m-1
+  /// levels[k-1], k = 1..m-1. Immutable and shared, never copied: a
+  /// patch adopts a clean level by taking another reference to its
+  /// base's, and evicting a plan frees only the levels no other plan
+  /// still holds.
+  std::vector<std::shared_ptr<const PlanLevel>> levels;
 
   /// Tag planes of the line state entering the final 2x2-switch level,
   /// used to screen dead-line faults at delivery.
@@ -119,12 +124,15 @@ RouteResult compile_route(FeedbackBrsmn& net,
 /// function of the tag planes entering it (codes are identity-loaded per
 /// level), so patch_route walks the levels of a fresh compile of
 /// `assignment` and, whenever a level's entry tag planes match `base`'s
-/// stored checkpoint, adopts the base level verbatim — masks, runs,
-/// events, checkpoints, stats delta — instead of re-deriving it. Only
-/// levels whose entry planes diverge (and always the final 2x2 delivery
-/// level) are recompiled, through the exact cold code path, so a patched
-/// plan is bit-identical to a cold compile of `assignment` (verified
-/// exhaustively by tests/test_group_manager.cpp).
+/// stored checkpoint, adopts the base level instead of re-deriving it:
+/// `out` takes another reference to the base's immutable PlanLevel
+/// (masks, events, parent codes, checkpoints, stats delta), and the
+/// fabric and line state are advanced from it. Only levels whose entry
+/// planes diverge (and always the final 2x2 delivery level) are
+/// recompiled, through the exact cold code path, into fresh levels, so a
+/// patched plan is bit-identical to a cold compile of `assignment`
+/// (verified exhaustively by tests/test_group_manager.cpp) and outlives
+/// `base`: the levels it shares stay alive as long as either plan does.
 ///
 /// A join or leave changes one source's tag tree (Figs. 9/11), and only
 /// along the path to the changed output: a node's tag flips only where

@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <iterator>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -98,8 +99,8 @@ void expect_plans_eq(const RoutePlan& patched, const RoutePlan& cold) {
   ASSERT_EQ(patched.levels.size(), cold.levels.size());
   for (std::size_t k = 0; k < cold.levels.size(); ++k) {
     SCOPED_TRACE("level " + std::to_string(k + 1));
-    const PlanLevel& p = patched.levels[k];
-    const PlanLevel& c = cold.levels[k];
+    const PlanLevel& p = *patched.levels[k];
+    const PlanLevel& c = *cold.levels[k];
     EXPECT_EQ(p.stages, c.stages);
     EXPECT_EQ(p.entry_t0, c.entry_t0);
     EXPECT_EQ(p.entry_t1, c.entry_t1);
@@ -385,6 +386,69 @@ TEST(GroupPatchEdge, PatchUnderFaultInjectionIsRejected) {
                ContractViolation);
 }
 
+// --- lifetime of shared levels --------------------------------------------
+
+/// A patched plan shares the levels it adopts with its base, so it must
+/// outlive that base. Compile a base into a cache, patch from it, then
+/// invalidate the base's entry and drop every other reference to it: the
+/// patch must still equal a cold compile of its assignment — checkpoints,
+/// delivery, stats, explanation — and replay like one, grids included.
+template <typename Net>
+void check_patch_outlives_base(std::size_t n) {
+  const MulticastAssignment base = broadcast_assignment(n, 4);
+  MulticastAssignment after = base;
+  after.disconnect((n - 1) % 4, n - 1);
+  Net net_cold(n);
+  Net net_patch(n);
+  RouteOptions opts;
+  opts.explain = true;
+
+  PlanCache cache;
+  auto compiled = std::make_shared<RoutePlan>();
+  planner::compile_route(net_patch, base, opts, *compiled);
+  const fault::ImplKind impl = compiled->impl;
+  cache.insert(base, impl, std::move(compiled));
+
+  RoutePlan patched;
+  std::weak_ptr<const RoutePlan> base_alive;
+  {
+    const PlanCache::PlanPtr base_plan = cache.lookup(base, impl, true);
+    ASSERT_NE(base_plan, nullptr);
+    base_alive = base_plan;
+    const planner::PatchOutcome outcome =
+        planner::patch_route(net_patch, after, *base_plan, opts, patched, {});
+    ASSERT_TRUE(outcome.patched);
+    ASSERT_GT(outcome.levels_reused, 0u);
+    cache.invalidate(base, impl);
+  }
+  ASSERT_TRUE(base_alive.expired());
+  // The patch is now the only owner of every level, adopted ones included.
+  for (const auto& level : patched.levels) EXPECT_EQ(level.use_count(), 1);
+
+  RoutePlan cold_plan;
+  const RouteResult cold =
+      planner::compile_route(net_cold, after, opts, cold_plan);
+  const auto cold_grids = net_grids(net_cold);
+  expect_plans_eq(patched, cold_plan);
+  for (const RouteEngine engine :
+       {RouteEngine::Scalar, RouteEngine::Packed}) {
+    net_patch.route(decoy_assignment(n));
+    RouteOptions ropts;
+    ropts.explain = true;
+    ropts.engine = engine;
+    expect_results_eq(cold, net_patch.route_replay(patched, ropts));
+    EXPECT_EQ(net_grids(net_patch), cold_grids);
+  }
+}
+
+TEST(GroupPatchLifetime, PatchedPlanOutlivesItsBase) {
+  for (const std::size_t n : {16u, 64u, 256u}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    check_patch_outlives_base<Brsmn>(n);
+    check_patch_outlives_base<FeedbackBrsmn>(n);
+  }
+}
+
 // --- GroupManager registry semantics --------------------------------------
 
 TEST(GroupManagerRegistry, JoinLeaveSnapshotVersioning) {
@@ -594,16 +658,16 @@ TEST(GroupManagerRouting, MetricsFamiliesAreRecorded) {
 
 // --- multi-threaded churn soak (TSan target) ------------------------------
 
-TEST(GroupChurnSoak, ConcurrentChurnMatchesShadowAndNeverServesStale) {
-  const std::size_t n = 32;
+/// Four threads churn and route their own groups through one shared plan
+/// cache and group manager, each against a shadow reference map; every
+/// delivery must match the shadow, during the churn and after it. A join
+/// draws its source from inputs [0, sources).
+void run_churn_soak(PlanCache& cache, GroupManager& groups,
+                    std::size_t sources) {
+  const std::size_t n = groups.network_size();
   const unsigned kThreads = 4;
   const GroupId kGroupsPerThread = 8;
   const int kOpsPerThread = 240;
-
-  PlanCache cache(api::PlanCacheConfig{1024, 8, false});
-  GroupManagerConfig config;
-  config.shards = 4;  // ids from different threads share shards
-  GroupManager groups(n, config);
 
   // Thread t owns ids [t*K, (t+1)*K): registry mutation per group is
   // single-threaded (matching the shadow), while shard mutexes and the
@@ -636,7 +700,7 @@ TEST(GroupChurnSoak, ConcurrentChurnMatchesShadowAndNeverServesStale) {
         if (want_join && members.size() < n) {
           std::size_t dst = rng.uniform(0, n - 1);
           while (members.count(dst) != 0) dst = (dst + 1) % n;
-          const std::size_t src = rng.uniform(0, n - 1);
+          const std::size_t src = rng.uniform(0, sources - 1);
           groups.join(id, src, dst);
           members[dst] = src;
         } else if (!members.empty()) {
@@ -693,6 +757,36 @@ TEST(GroupChurnSoak, ConcurrentChurnMatchesShadowAndNeverServesStale) {
     }
     return live;
   }());
+}
+
+TEST(GroupChurnSoak, ConcurrentChurnMatchesShadowAndNeverServesStale) {
+  PlanCache cache(api::PlanCacheConfig{1024, 8, false});
+  GroupManagerConfig config;
+  config.shards = 4;  // ids from different threads share shards
+  GroupManager groups(32, config);
+  run_churn_soak(cache, groups, 32);
+}
+
+TEST(GroupChurnSoak, EvictingCacheSharesLevelsAcrossThreads) {
+  // Fewer cache entries than live groups: threads evict one another's
+  // plans, patch bases among them, while the patched plans made from
+  // those bases still share their levels. Two sources make high-fanout
+  // trees, whose deltas leave the shallow levels clean, and patches never
+  // abandon here, so every base still cached is patched from, and most
+  // patches share levels with their base. Every delivery must match.
+  PlanCache cache(api::PlanCacheConfig{16, 4, false});
+  GroupManagerConfig config;
+  config.shards = 4;
+  config.max_dirty_fraction = 1.0;
+  GroupManager groups(32, config);
+  obs::MetricRegistry registry;
+  groups.attach_metrics(registry);
+  run_churn_soak(cache, groups, 2);
+  EXPECT_GT(cache.evictions(), 0u);
+  EXPECT_GT(groups.plans_patched(), 0u);
+  if constexpr (obs::kEnabled) {
+    EXPECT_GT(registry.counter("plan_patch.levels_reused").value(), 0u);
+  }
 }
 
 // --- fault injection over patched-plan replays ----------------------------

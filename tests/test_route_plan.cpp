@@ -11,18 +11,23 @@
 // Also here: the zero-allocation contract of route_replay_into — after
 // two warmup replays, a steady-state replay performs no heap
 // allocations (counted by overriding global operator new in this test
-// binary) — and the heap-footprint guard of a warm compile_route, whose
-// bytes must grow like the O(n log^2 n) plan, not O(n^2).
+// binary) — the heap-footprint guard of a warm compile_route, whose
+// bytes must grow like the O(n log^2 n) plan, not O(n^2), and the
+// structural sharing of a patch, which allocates only its dirty levels.
 #include "core/route_plan.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdlib>
+#include <map>
+#include <memory>
 #include <new>
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "api/plan_cache.hpp"
@@ -546,6 +551,95 @@ TEST(RoutePlanFootprint, WarmCompileStoresEachDecisionOnce) {
   RecordProperty("feedback plan bytes n=1024", std::to_string(feedback));
   EXPECT_LE(unrolled, kUnrolledBytesWithRows * 65 / 100) << unrolled;
   EXPECT_LE(feedback, kFeedbackBytesWithRows * 65 / 100) << feedback;
+}
+
+// --- structural sharing of a patch ----------------------------------------
+
+// Stored levels are immutable and shared: a patch adopts a clean level by
+// reference, so no path can write a level another plan still reads.
+static_assert(std::is_same_v<decltype(RoutePlan::levels),
+                             std::vector<std::shared_ptr<const PlanLevel>>>);
+
+TEST(RoutePlanFootprint, PatchAllocatesOnlyItsDirtyLevels) {
+  // Patch one base to single-delta neighbours. Each adopted level must be
+  // the base's own object, each recompiled one a new object, and the
+  // patch's heap bytes must fall as it adopts more levels. (When a patch
+  // deep-copied its adopted levels, every patch allocated as many bytes
+  // as a cold compile.)
+  const std::size_t n = 1024;
+  Rng rng(8720);  // fixed, not test_seed(): the byte counts are exact
+  const MulticastAssignment base = random_multicast(n, 0.6, rng);
+  Brsmn net(n);
+  RoutePlan base_plan;
+  planner::compile_route(net, base, {}, base_plan);
+  const auto bytes = [] {
+    return g_heap_bytes.load(std::memory_order_relaxed);
+  };
+
+  // Patch bytes over cold-compile bytes of the same assignment, by the
+  // number of levels the patch adopted.
+  std::map<std::size_t, std::vector<double>> ratio_by_reuse;
+  for (int d = 0; d < 64; ++d) {
+    MulticastAssignment after = base;
+    const std::size_t out = rng.uniform(0, n - 1);
+    if (after.output_claimed(out)) {
+      after.disconnect(after.src_of()[out], out);
+    } else {
+      after.connect(rng.uniform(0, n - 1), out);
+    }
+    SCOPED_TRACE("delta at output " + std::to_string(out));
+    std::uint64_t before = bytes();
+    {
+      RoutePlan cold;
+      planner::compile_route(net, after, {}, cold);
+    }
+    const std::uint64_t cold_bytes = bytes() - before;
+
+    RoutePlan patched;
+    before = bytes();
+    const planner::PatchOutcome outcome =
+        planner::patch_route(net, after, base_plan, {}, patched);
+    const std::uint64_t patch_bytes = bytes() - before;
+    ASSERT_TRUE(outcome.patched);
+    ASSERT_EQ(patched.levels.size(), base_plan.levels.size());
+
+    std::size_t shared = 0;
+    for (std::size_t k = 0; k < patched.levels.size(); ++k) {
+      const PlanLevel& lv = *patched.levels[k];
+      const PlanLevel& old = *base_plan.levels[k];
+      const bool clean = lv.entry_t0 == old.entry_t0 &&
+                         lv.entry_t1 == old.entry_t1 &&
+                         lv.entry_t2 == old.entry_t2;
+      EXPECT_EQ(patched.levels[k] == base_plan.levels[k], clean) << k;
+      if (clean) {
+        ++shared;
+      } else {
+        EXPECT_EQ(std::find(base_plan.levels.begin(), base_plan.levels.end(),
+                            patched.levels[k]),
+                  base_plan.levels.end())
+            << k;
+      }
+    }
+    EXPECT_EQ(shared, outcome.levels_reused);
+    ratio_by_reuse[shared].push_back(static_cast<double>(patch_bytes) /
+                                     static_cast<double>(cold_bytes));
+  }
+
+  // Each adopted level saves its own bytes. The levels a delta leaves
+  // clean are the shallow, wide ones, each more than 5% of a cold
+  // compile's bytes here. Adopting more levels never costs more bytes.
+  ASSERT_GE(ratio_by_reuse.size(), 3u);
+  double below = 1.0;  // the smallest ratio at the last lower reuse count
+  for (const auto& [reused, ratios] : ratio_by_reuse) {
+    const auto [lo, hi] = std::minmax_element(ratios.begin(), ratios.end());
+    RecordProperty("patch/cold bytes, " + std::to_string(reused) +
+                       " levels reused",
+                   std::to_string(*lo) + ".." + std::to_string(*hi));
+    if (reused == 0) continue;
+    EXPECT_LE(*hi, 1.0 - 0.05 * static_cast<double>(reused)) << reused;
+    EXPECT_LT(*hi, below) << reused << " levels reused";
+    below = *lo;
+  }
 }
 
 }  // namespace

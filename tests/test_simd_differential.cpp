@@ -459,7 +459,7 @@ void expect_plans_eq(const RoutePlan& a, const RoutePlan& b) {
   ASSERT_EQ(a.levels.size(), b.levels.size());
   for (std::size_t k = 0; k < a.levels.size(); ++k) {
     SCOPED_TRACE("plan level " + std::to_string(k + 1));
-    expect_plan_levels_eq(a.levels[k], b.levels[k]);
+    expect_plan_levels_eq(*a.levels[k], *b.levels[k]);
   }
   EXPECT_EQ(a.final_t0, b.final_t0);
   EXPECT_EQ(a.final_t1, b.final_t1);

@@ -178,10 +178,11 @@ BENCHMARK(BM_GroupChurn)->RangeMultiplier(4)->Range(64, 1024);
 
 // --- the live registry under a churn stream -------------------------------
 
-// 2048 live groups on one GroupManager + PlanCache at n=256. Each
-// iteration mutates one group (join or leave) and routes it by id, so
-// the service alternates replays (unchurned repeats), patches (the
-// mutated group), and cold compiles (plans evicted or first-touched).
+// 2048 live groups on one GroupManager at n=256, opted into planning by
+// a PlanCache (each group's plan lives in its own slot). Each iteration
+// mutates one group (join or leave) and routes it by id, so the service
+// patches the mutated group from its slot, and compiles cold only on a
+// group's first route or an abandoned patch.
 void BM_GroupChurnService(benchmark::State& state) {
   const std::size_t n = 256;
   const auto group_count = static_cast<brsmn::api::GroupId>(state.range(0));

@@ -220,7 +220,8 @@ class Cluster {
   std::future<ClusterOutcome> submit(MulticastAssignment assignment);
 
   /// Queue one dynamic-group route, placed by the group id so a group's
-  /// repeats stay on one shard (and patch its cache incrementally).
+  /// routes stay on one shard. With plan caches on, each route replays
+  /// or patches from the group's plan slot (api/group_manager.hpp).
   /// `groups` must outlive the future's resolution; GroupManager is
   /// internally synchronized per group.
   std::future<ClusterOutcome> submit_group(GroupManager& groups,

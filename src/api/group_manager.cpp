@@ -4,7 +4,6 @@
 #include <memory>
 #include <utility>
 
-#include "api/plan_cache.hpp"
 #include "common/bits.hpp"
 #include "common/contracts.hpp"
 #include "fault/fault_report.hpp"
@@ -96,11 +95,12 @@ bool GroupManager::contains(GroupId group) const {
 
 bool GroupManager::erase(GroupId group) {
   Shard& shard = shard_for(group);
-  bool existed = false;
+  decltype(shard.groups)::node_type erased;  // freed after the unlock
   {
     const std::lock_guard<std::mutex> lock(shard.mu);
-    existed = shard.groups.erase(group) != 0;
+    erased = shard.groups.extract(group);
   }
+  const bool existed = !erased.empty();
   if (existed && live_gauge_ != nullptr) {
     live_gauge_->set(static_cast<double>(group_count()));
   }
@@ -117,19 +117,37 @@ std::size_t GroupManager::group_count() const {
 }
 
 void GroupManager::update_planned(GroupId group, std::size_t impl_index,
-                                  const MulticastAssignment& assignment,
-                                  std::uint64_t version) {
+                                  MulticastAssignment assignment,
+                                  std::uint64_t version,
+                                  std::shared_ptr<const RoutePlan> plan) {
   Shard& shard = shard_for(group);
+  // Declared before the lock: the superseded plan (or `plan` itself, when
+  // it is stale) is freed after the unlock.
+  std::shared_ptr<const RoutePlan> released = std::move(plan);
   const std::lock_guard<std::mutex> lock(shard.mu);
   const auto it = shard.groups.find(group);
   if (it == shard.groups.end()) return;  // erased while routing
   PlannedBase& planned = it->second.planned[impl_index];
-  // Concurrent routes of one group may finish out of order; the base
-  // pointer only ever advances, so the cache entry it names is the
-  // newest assignment this manager planned.
-  if (planned.assignment.has_value() && planned.version > version) return;
-  planned.assignment = assignment;
+  // Concurrent routes of one group may finish out of order; the slot
+  // only ever advances, so it holds the newest assignment this manager
+  // planned.
+  if (planned.plan != nullptr && planned.version > version) return;
+  std::swap(planned.plan, released);
+  planned.assignment = std::move(assignment);
   planned.version = version;
+}
+
+void GroupManager::drop_planned(GroupId group, std::size_t impl_index,
+                                const std::shared_ptr<const RoutePlan>& plan) {
+  Shard& shard = shard_for(group);
+  std::shared_ptr<const RoutePlan> released;  // freed after the unlock
+  const std::lock_guard<std::mutex> lock(shard.mu);
+  const auto it = shard.groups.find(group);
+  if (it == shard.groups.end()) return;
+  PlannedBase& planned = it->second.planned[impl_index];
+  if (planned.plan != plan) return;  // a newer route already replaced it
+  std::swap(planned.plan, released);
+  planned.assignment.reset();
 }
 
 template <fault::ImplKind IMPL, typename Net>
@@ -141,88 +159,102 @@ GroupRouteReport GroupManager::route_impl(GroupId group, Net& net,
 
   GroupRouteReport report;
   std::optional<MulticastAssignment> assignment;
-  std::optional<MulticastAssignment> base;
+  std::shared_ptr<const RoutePlan> base;
+  bool unchanged = false;  // the slot's plan is for the current assignment
   {
     Shard& shard = shard_for(group);
     const std::lock_guard<std::mutex> lock(shard.mu);
     const auto it = shard.groups.find(group);
     BRSMN_EXPECTS_MSG(it != shard.groups.end(), "route of an unknown group");
-    assignment.emplace(it->second.assignment);
-    report.version = it->second.version;
-    base = it->second.planned[impl_index].assignment;
+    const Group& g = it->second;
+    assignment.emplace(g.assignment);
+    report.version = g.version;
+    const PlannedBase& planned = g.planned[impl_index];
+    base = planned.plan;
+    unchanged = base != nullptr && *planned.assignment == g.assignment;
   }
   bump(routes_, routes_counter_);
 
-  // No cache, or a capture request a replay cannot serve: route as-is
-  // (Brsmn::route itself skips the cache when capture_levels is set).
+  // No planning requested, or a capture request a replay cannot serve:
+  // route as-is.
   if (options.plan_cache == nullptr || options.capture_levels) {
     report.result = net.route(*assignment, options);
     report.mode = GroupRouteMode::Uncached;
     return report;
   }
 
-  // 1. Exact hit for the current assignment: replay — or, with faults
-  //    armed, route cold without compiling or patching (a plan built
-  //    through a fault would freeze corrupted checkpoints).
-  switch (serve_cached(net, *assignment, options, report.result)) {
-    case CachedStep::Replayed:
-      report.mode = GroupRouteMode::Replayed;
-      bump(replayed_, replayed_counter_);
-      update_planned(group, impl_index, *assignment, report.version);
-      return report;
-    case CachedStep::Cold:
-      report.mode = GroupRouteMode::Uncached;
-      return report;
-    case CachedStep::Compile:
-      break;
-  }
-
-  PlanCache& cache = *options.plan_cache;
   RouteOptions inner = options;
   inner.plan_cache = nullptr;
+  // An explain route needs a plan with provenance; a slot compiled
+  // without it serves neither replay nor patch.
+  if (base != nullptr && options.explain && !base->explanation.has_value()) {
+    base = nullptr;
+  }
 
-  // 2. Patch from the plan compiled for this group's previous
-  //    assignment, if the cache still holds it.
-  if (base.has_value() && *base != *assignment) {
-    if (PlanCache::PlanPtr base_plan =
-            cache.lookup(*base, IMPL, options.explain)) {
-      auto patched = std::make_shared<RoutePlan>();
-      bool base_faulted = false;
-      try {
-        planner::PatchOutcome outcome = planner::patch_route(
-            net, *assignment, *base_plan, inner, *patched,
-            planner::PatchConfig{config_.max_dirty_fraction});
-        if (outcome.patched) {
-          cache.insert(*assignment, IMPL, std::move(patched));
-          update_planned(group, impl_index, *assignment, report.version);
-          report.result = std::move(outcome.result);
-          report.mode = GroupRouteMode::Patched;
-          report.levels_reused = outcome.levels_reused;
-          report.levels_recompiled = outcome.levels_recompiled;
-          bump(patched_, patched_counter_);
-          bump(levels_reused_, levels_reused_counter_, outcome.levels_reused);
-          bump(levels_recompiled_, levels_recompiled_counter_,
-               outcome.levels_recompiled);
-          return report;
-        }
-        bump(abandoned_, abandoned_counter_);
-      } catch (const fault::FaultDetected&) {
-        // The base plan's checkpoints are inconsistent with what its
-        // reused levels produce — a stale or corrupt entry. Invalidate
-        // exactly that entry and compile cold below.
-        base_faulted = true;
-        bump(faulted_, faulted_counter_);
-      }
-      if (base_faulted) cache.invalidate(*base, IMPL);
+  // 1. The slot holds the plan for the current assignment: replay.
+  if (base != nullptr && unchanged) {
+    try {
+      report.result = net.route_replay(*base, inner);
+      report.mode = GroupRouteMode::Replayed;
+      report.plan = std::move(base);
+      bump(replayed_, replayed_counter_);
+      return report;
+    } catch (const fault::FaultDetected&) {
+      drop_planned(group, impl_index, base);
+      // With an injector armed the detection is the contract: surface it
+      // (the next clean route compiles). Without one, the plan itself
+      // must be stale — compile cold below.
+      if (options.faults != nullptr) throw;
+      base = nullptr;
     }
   }
 
-  // 3. Cold compile and insert; this plan is the next delta's base.
+  // With faults armed, never compile or patch (a plan built through a
+  // fault would freeze corrupted checkpoints): route cold.
+  if (options.faults != nullptr) {
+    report.result = net.route(*assignment, inner);
+    report.mode = GroupRouteMode::Uncached;
+    return report;
+  }
+
+  // 2. Patch from the slot's plan for an earlier assignment.
+  if (base != nullptr && !unchanged) {
+    auto patched = std::make_shared<RoutePlan>();
+    try {
+      planner::PatchOutcome outcome = planner::patch_route(
+          net, *assignment, *base, inner, *patched,
+          planner::PatchConfig{config_.max_dirty_fraction});
+      if (outcome.patched) {
+        report.result = std::move(outcome.result);
+        report.mode = GroupRouteMode::Patched;
+        report.plan = patched;
+        report.levels_reused = outcome.levels_reused;
+        report.levels_recompiled = outcome.levels_recompiled;
+        update_planned(group, impl_index, std::move(*assignment),
+                       report.version, std::move(patched));
+        bump(patched_, patched_counter_);
+        bump(levels_reused_, levels_reused_counter_, outcome.levels_reused);
+        bump(levels_recompiled_, levels_recompiled_counter_,
+             outcome.levels_recompiled);
+        return report;
+      }
+      bump(abandoned_, abandoned_counter_);
+    } catch (const fault::FaultDetected&) {
+      // The base plan's checkpoints are inconsistent with what its
+      // reused levels produce — a stale or corrupt slot. Drop it and
+      // compile cold below.
+      bump(faulted_, faulted_counter_);
+      drop_planned(group, impl_index, base);
+    }
+  }
+
+  // 3. Cold compile into the slot; this plan is the next delta's base.
   auto fresh = std::make_shared<RoutePlan>();
   report.result = planner::compile_route(net, *assignment, inner, *fresh);
-  cache.insert(*assignment, IMPL, std::move(fresh));
-  update_planned(group, impl_index, *assignment, report.version);
   report.mode = GroupRouteMode::Compiled;
+  report.plan = fresh;
+  update_planned(group, impl_index, std::move(*assignment), report.version,
+                 std::move(fresh));
   bump(compiled_, compiled_counter_);
   return report;
 }

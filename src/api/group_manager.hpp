@@ -7,33 +7,36 @@
 // by caller-chosen ids, each holding an evolving MulticastAssignment
 // mutated through join()/leave() and routed by id.
 //
-// The payoff is incremental recompilation. Routing a group whose
-// assignment changed since its plan was compiled does not start over:
-// route() looks up the plan compiled for the group's *previous*
-// assignment in the shared api::PlanCache and hands it to
-// planner::patch_route (core/route_plan.hpp), which recompiles only the
-// levels whose entry tag planes the delta actually perturbed — a
-// single-member join or leave on a group with fanout f typically
-// dirties only the first ~log2(f) of the log2(n) levels — and adopts
-// the rest verbatim. The patched plan is bit-identical to a cold
-// compile of the new assignment (exhaustively verified by
-// tests/test_group_manager.cpp) and is inserted into the cache under
-// the new assignment, becoming the base for the next delta. A patch
-// that would recompile more than max_dirty_fraction of the levels is
-// abandoned in favor of a cold compile; a patch that trips the online
-// self-check (a corrupt or stale base) invalidates exactly the base
-// entry and falls back cold — detection never mis-delivers.
+// The payoff is incremental recompilation. Each group keeps one plan
+// slot per implementation: the plan last compiled or patched for it,
+// with the assignment and version it was built from. route() replays the
+// slot when the assignment has not changed since, and otherwise hands
+// the slot's plan to planner::patch_route (core/route_plan.hpp), which
+// recompiles only the levels whose entry tag planes the delta actually
+// perturbed — a single-member join or leave on a group with fanout f
+// typically dirties only the deep levels — and adopts the rest verbatim.
+// The patched plan is bit-identical to a cold compile of the new
+// assignment (exhaustively verified by tests/test_group_manager.cpp) and
+// replaces the slot's plan, becoming the base for the next delta; the
+// superseded plan is freed, except for the levels the new one shares. A
+// patch that would recompile more than max_dirty_fraction of the levels
+// is abandoned in favor of a cold compile; a patch that trips the online
+// self-check (a corrupt or stale base) drops the slot and falls back
+// cold — detection never mis-delivers. A group's plans live in its slot
+// only, never in the shared api::PlanCache, so the memory they hold is
+// one plan per live group and implementation (NOX keeps one tree per
+// multicast source and replaces it in place the same way).
 //
 // Thread safety: the registry is sharded by group id, each shard behind
 // its own mutex; join/leave/snapshot/route on different groups proceed
-// concurrently, and route() copies the assignment out under the lock so
-// routing itself never holds it. The plan cache is already sharded and
-// thread-safe.
+// concurrently, and route() copies the assignment and the slot's plan
+// pointer out under the lock so routing itself never holds it.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string_view>
@@ -51,8 +54,6 @@ class MetricRegistry;
 }  // namespace brsmn::obs
 
 namespace brsmn::api {
-
-class PlanCache;
 
 /// Caller-chosen multicast group identifier.
 using GroupId = std::uint64_t;
@@ -78,14 +79,16 @@ struct GroupSnapshot {
 
 /// How route() obtained its result, for callers and tests.
 enum class GroupRouteMode : std::uint8_t {
-  /// No plan cache configured: routed cold, nothing compiled.
+  /// No plan cache configured, or faults armed and nothing replayed:
+  /// routed cold, nothing compiled.
   Uncached,
-  /// The cache already held a plan for the exact current assignment.
+  /// The group's plan slot already held a plan for the exact current
+  /// assignment.
   Replayed,
-  /// A base plan for the previous assignment was patched incrementally.
+  /// The slot's plan for an earlier assignment was patched incrementally.
   Patched,
-  /// Compiled cold (no base, patch abandoned, or patch detected a
-  /// fault) and inserted.
+  /// Compiled cold (empty slot, patch abandoned, or patch detected a
+  /// fault) into the slot.
   Compiled,
 };
 
@@ -100,6 +103,9 @@ struct GroupRouteReport {
   std::size_t levels_recompiled = 0;
   /// The registry version of the assignment that was routed.
   std::uint64_t version = 0;
+  /// The plan the route replayed, patched or compiled; null when
+  /// mode == Uncached.
+  std::shared_ptr<const RoutePlan> plan;
 };
 
 class GroupManager {
@@ -129,21 +135,23 @@ class GroupManager {
 
   bool contains(GroupId group) const;
 
-  /// Drop the group from the registry (its cached plans age out of the
-  /// plan cache by LRU). No-op when absent; returns whether it existed.
+  /// Drop the group from the registry, freeing its plan slots (outside
+  /// the shard lock). No-op when absent; returns whether it existed.
   bool erase(GroupId group);
 
   /// Live groups.
   std::size_t group_count() const;
 
-  /// Route `group`'s current assignment on `net`. With
-  /// options.plan_cache set (and no armed injector) the route is served
-  /// replay-first / patch-second / cold-last as described above; the
-  /// cache key is the assignment itself, so distinct groups sharing a
-  /// pattern share plans. options.capture_levels must be off when a
-  /// cache is used (mirroring route_via_cache). Throws if the group
-  /// does not exist; fault::FaultDetected propagates exactly as from
-  /// Brsmn::route with the same options.
+  /// Route `group`'s current assignment on `net`. A non-null
+  /// options.plan_cache opts the group into planning: the route is
+  /// served from the group's plan slot replay-first / patch-second /
+  /// cold-last as described above. The shared cache itself is neither
+  /// read nor written, so groups never share plans through it. With an
+  /// injector armed a route replays the slot if it can (a detection
+  /// drops the slot and propagates) and otherwise routes cold,
+  /// compiling nothing. options.capture_levels routes cold and leaves
+  /// the slot alone. Throws if the group does not exist; fault::FaultDetected
+  /// propagates exactly as from Brsmn::route with the same options.
   GroupRouteReport route(GroupId group, Brsmn& net,
                          const RouteOptions& options = {});
   GroupRouteReport route(GroupId group, FeedbackBrsmn& net,
@@ -168,16 +176,18 @@ class GroupManager {
                       std::string_view prefix = "group");
 
  private:
+  /// A group's plan slot: the plan last compiled or patched for it, with
+  /// the assignment and registry version it was built from — the replay
+  /// target while the assignment is unchanged, the patch base after.
   struct PlannedBase {
-    /// The assignment the cache entry this group last produced was
-    /// keyed by — the patch base for the next delta.
+    std::shared_ptr<const RoutePlan> plan;  ///< null: empty slot
     std::optional<MulticastAssignment> assignment;
     std::uint64_t version = 0;
   };
   struct Group {
     MulticastAssignment assignment;
     std::uint64_t version = 0;
-    /// Per implementation (fault::ImplKind), the last planned base.
+    /// Per implementation (fault::ImplKind), the plan slot.
     PlannedBase planned[2];
     explicit Group(std::size_t n) : assignment(n) {}
   };
@@ -197,12 +207,17 @@ class GroupManager {
   GroupRouteReport route_impl(GroupId group, Net& net,
                               const RouteOptions& options);
 
-  /// Record that `group`'s cache entry for IMPL is now keyed by
-  /// (assignment, version); stale (older-version) updates are ignored,
-  /// so concurrent routes can finish out of order.
+  /// Store `plan`, built from (assignment, version), in `group`'s slot
+  /// for `impl_index`; an update older than the slot's version is
+  /// ignored, so concurrent routes can finish out of order. The
+  /// superseded plan is freed after the shard lock is released.
   void update_planned(GroupId group, std::size_t impl_index,
-                      const MulticastAssignment& assignment,
-                      std::uint64_t version);
+                      MulticastAssignment assignment, std::uint64_t version,
+                      std::shared_ptr<const RoutePlan> plan);
+  /// Empty `group`'s slot for `impl_index` if it still holds `plan` (a
+  /// plan whose replay or patch detected a fault).
+  void drop_planned(GroupId group, std::size_t impl_index,
+                    const std::shared_ptr<const RoutePlan>& plan);
 
   void bump(std::atomic<std::uint64_t>& raw, obs::Counter* counter,
             std::uint64_t by = 1);

@@ -98,9 +98,9 @@ class ParallelRouter {
   /// Route every group id's *current* assignment through `groups`
   /// (api/group_manager.hpp) on the worker engines; results come back
   /// in `ids` order. Unlike route_batch there is no deduplication —
-  /// each route snapshots the live registry, and with the attached plan
-  /// cache repeats replay and post-churn groups patch, which is the
-  /// cheap path dedup would buy anyway. Failures aggregate exactly like
+  /// each route snapshots the live registry, and with a plan cache
+  /// attached repeats replay and post-churn groups patch from each
+  /// group's plan slot, which is the cheap path dedup would buy anyway. Failures aggregate exactly like
   /// route_batch, with messages naming the group ("group <id>: ...").
   std::vector<RouteResult> route_groups(GroupManager& groups,
                                         const std::vector<GroupId>& ids);

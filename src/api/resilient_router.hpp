@@ -166,10 +166,11 @@ class ResilientRouter {
 
   /// Route a dynamic group (api/group_manager.hpp) down the same
   /// ladder. Every attempt goes through GroupManager::route on this
-  /// router's engines, so with a plan cache configured a clean repeat
-  /// replays and a post-churn route patches incrementally; an attempt
-  /// that trips the self-check has already invalidated precisely the
-  /// cache entry it replayed or patched from, so the retry recompiles.
+  /// router's engines, so with a plan cache configured (which opts the
+  /// group into its plan slot) a clean repeat replays and a post-churn
+  /// route patches incrementally; an attempt whose replay trips the
+  /// self-check has already dropped the group's slot for that rung, so
+  /// the retry routes cold (faults armed) or recompiles.
   /// Each path routes the group's assignment as of that attempt —
   /// concurrent joins/leaves land on whichever attempt reads them.
   RequestOutcome route_group(GroupId group, GroupManager& groups);

@@ -77,9 +77,9 @@ class QueuedMulticastSwitch {
     /// every epoch routes cold (the default).
     api::PlanCache* plan_cache = nullptr;
     /// Dynamic-group registry (api/group_manager.hpp) served by
-    /// route_group(). The manager patches plans in `plan_cache` as its
-    /// groups churn, so set both to get incremental recompiles. Null:
-    /// route_group() is unavailable (the default).
+    /// route_group(). Setting `plan_cache` too opts group routes into
+    /// their per-group plan slots, so churned groups patch incrementally.
+    /// Null: route_group() is unavailable (the default).
     api::GroupManager* groups = nullptr;
     /// Drop policy: a queued cell older than this many epochs is dropped
     /// (counted, never silently) at the start of a step. 0 disables.

@@ -11,12 +11,12 @@
 // is never allowed to be an approximation.
 //
 // Also here: the GroupManager registry semantics (join/leave/snapshot/
-// erase, replay-first/patch-second/cold-last routing, precise base
-// invalidation), a multi-threaded churn soak against a shadow reference
-// map (run under TSan in CI), a fault-injection sweep over replays of a
-// patched plan (detect-or-mask, never mis-deliver), and the group
-// routing entry points of ParallelRouter, ResilientRouter and
-// QueuedMulticastSwitch.
+// erase, replay-first/patch-second/cold-last routing from each group's
+// plan slot, the slot dropped on a detection), a multi-threaded churn
+// soak against a shadow reference map (run under TSan in CI), a
+// fault-injection sweep over replays of a patched plan (detect-or-mask,
+// never mis-deliver), and the group routing entry points of
+// ParallelRouter, ResilientRouter and QueuedMulticastSwitch.
 #include "api/group_manager.hpp"
 
 #include <gtest/gtest.h>
@@ -27,6 +27,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -526,7 +527,7 @@ TEST(GroupManagerRouting, ColdThenReplayThenPatch) {
   EXPECT_EQ(r3.result.delivered,
             expected_delivery(groups.snapshot(id).assignment));
 
-  // The patched plan is now the cached entry for the new assignment.
+  // The patched plan now fills the group's slot for the new assignment.
   auto r4 = groups.route(id, net, opts);
   EXPECT_EQ(r4.mode, GroupRouteMode::Replayed);
   expect_results_eq(r3.result, r4.result);
@@ -536,7 +537,7 @@ TEST(GroupManagerRouting, ColdThenReplayThenPatch) {
   EXPECT_EQ(groups.plans_replayed(), 2u);
   EXPECT_EQ(groups.routes(), 4u);
 
-  // Feedback plans are cached and patched independently.
+  // Feedback plans have a slot of their own and patch independently.
   FeedbackBrsmn fb(n);
   EXPECT_EQ(groups.route(id, fb, opts).mode, GroupRouteMode::Compiled);
   EXPECT_EQ(groups.route(id, fb, opts).mode, GroupRouteMode::Replayed);
@@ -658,22 +659,24 @@ TEST(GroupManagerRouting, MetricsFamiliesAreRecorded) {
 
 // --- multi-threaded churn soak (TSan target) ------------------------------
 
-/// Four threads churn and route their own groups through one shared plan
-/// cache and group manager, each against a shadow reference map; every
-/// delivery must match the shadow, during the churn and after it. A join
-/// draws its source from inputs [0, sources).
-void run_churn_soak(PlanCache& cache, GroupManager& groups,
-                    std::size_t sources) {
+/// Four threads churn and route their own groups through one group
+/// manager, each against a shadow reference map; every delivery must
+/// match the shadow, during the churn and after it. A join draws its
+/// source from inputs [0, sources). Returns the plans every route
+/// reported, as weak references.
+std::vector<std::weak_ptr<const RoutePlan>> run_churn_soak(
+    PlanCache& cache, GroupManager& groups, std::size_t sources) {
   const std::size_t n = groups.network_size();
   const unsigned kThreads = 4;
   const GroupId kGroupsPerThread = 8;
   const int kOpsPerThread = 240;
 
   // Thread t owns ids [t*K, (t+1)*K): registry mutation per group is
-  // single-threaded (matching the shadow), while shard mutexes and the
-  // plan cache are contended across threads.
+  // single-threaded (matching the shadow), while the shard mutexes that
+  // guard the plan slots are contended across threads.
   using Shadow = std::map<GroupId, std::map<std::size_t, std::size_t>>;
   std::vector<Shadow> shadows(kThreads);
+  std::vector<std::vector<std::weak_ptr<const RoutePlan>>> plans(kThreads);
 
   auto shadow_assignment = [n](const std::map<std::size_t, std::size_t>&
                                    members) {
@@ -711,12 +714,12 @@ void run_churn_soak(PlanCache& cache, GroupManager& groups,
           members.erase(it);
         }
         if (op % 4 == 3) {
-          // Route through the shared cache; the delivered vector must
-          // match this thread's shadow — a stale plan served after a
-          // patch would mis-deliver here.
+          // The delivered vector must match this thread's shadow — a
+          // stale plan served after a patch would mis-deliver here.
           const MulticastAssignment expected_a = shadow_assignment(members);
           const auto report = groups.route(id, engine, opts);
           ASSERT_EQ(report.result.delivered, expected_delivery(expected_a));
+          plans[t].push_back(report.plan);
         }
         if (op % 16 == 15) {
           const api::GroupSnapshot snap = groups.snapshot(id);
@@ -732,7 +735,7 @@ void run_churn_soak(PlanCache& cache, GroupManager& groups,
   for (auto& th : pool) th.join();
 
   // Final audit: every group equals its shadow, and a fresh route of
-  // every group (served from whatever the cache now holds) delivers
+  // every group (served from whatever its slot now holds) delivers
   // exactly the shadow's expectation.
   Brsmn engine(n);
   RouteOptions opts;
@@ -748,6 +751,7 @@ void run_churn_soak(PlanCache& cache, GroupManager& groups,
       }
       const auto report = groups.route(id, engine, opts);
       EXPECT_EQ(report.result.delivered, expected_delivery(expected_a));
+      plans[t].push_back(report.plan);
     }
   }
   EXPECT_EQ(groups.joins(), groups.leaves() + [&] {
@@ -757,6 +761,9 @@ void run_churn_soak(PlanCache& cache, GroupManager& groups,
     }
     return live;
   }());
+  std::vector<std::weak_ptr<const RoutePlan>> all;
+  for (auto& p : plans) all.insert(all.end(), p.begin(), p.end());
+  return all;
 }
 
 TEST(GroupChurnSoak, ConcurrentChurnMatchesShadowAndNeverServesStale) {
@@ -767,13 +774,13 @@ TEST(GroupChurnSoak, ConcurrentChurnMatchesShadowAndNeverServesStale) {
   run_churn_soak(cache, groups, 32);
 }
 
-TEST(GroupChurnSoak, EvictingCacheSharesLevelsAcrossThreads) {
-  // Fewer cache entries than live groups: threads evict one another's
-  // plans, patch bases among them, while the patched plans made from
-  // those bases still share their levels. Two sources make high-fanout
-  // trees, whose deltas leave the shallow levels clean, and patches never
-  // abandon here, so every base still cached is patched from, and most
-  // patches share levels with their base. Every delivery must match.
+TEST(GroupChurnSoak, SlotReplacementSharesLevelsAcrossThreads) {
+  // Each route replaces its group's slot, so every superseded plan is
+  // freed, on whichever thread replaced it, while the patched plans made
+  // from it still share its levels. Two sources make high-fanout trees,
+  // whose deltas leave the shallow levels clean, and patches never
+  // abandon here, so most patches share levels with their base. Every
+  // delivery must match, and the shared cache is never touched.
   PlanCache cache(api::PlanCacheConfig{16, 4, false});
   GroupManagerConfig config;
   config.shards = 4;
@@ -781,12 +788,23 @@ TEST(GroupChurnSoak, EvictingCacheSharesLevelsAcrossThreads) {
   GroupManager groups(32, config);
   obs::MetricRegistry registry;
   groups.attach_metrics(registry);
-  run_churn_soak(cache, groups, 2);
-  EXPECT_GT(cache.evictions(), 0u);
+  const auto plans = run_churn_soak(cache, groups, 2);
+
+  // At most one live plan per group: every other plan a route produced
+  // was freed when its successor took the slot.
+  std::set<const RoutePlan*> live;
+  for (const auto& weak : plans) {
+    if (const auto plan = weak.lock()) live.insert(plan.get());
+  }
+  EXPECT_LE(live.size(), groups.group_count());
+  EXPECT_GT(groups.plans_patched() + groups.plans_compiled(),
+            groups.group_count());
   EXPECT_GT(groups.plans_patched(), 0u);
   if constexpr (obs::kEnabled) {
     EXPECT_GT(registry.counter("plan_patch.levels_reused").value(), 0u);
   }
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.hits() + cache.misses(), 0u);
 }
 
 // --- fault injection over patched-plan replays ----------------------------
@@ -811,11 +829,11 @@ TEST(GroupPatchUnderFault, StuckSwitchSweepDetectsOrMasksNeverMisdelivers) {
   ASSERT_EQ(groups.route(id, net, opts).mode, GroupRouteMode::Compiled);
   groups.leave(id, 3, 3);
   groups.join(id, 0, 3);
-  ASSERT_EQ(groups.route(id, net, opts).mode, GroupRouteMode::Patched);
+  const auto patched = groups.route(id, net, opts);
+  ASSERT_EQ(patched.mode, GroupRouteMode::Patched);
 
   const api::GroupSnapshot snap = groups.snapshot(id);
-  const PlanCache::PlanPtr plan =
-      cache.lookup(snap.assignment, fault::ImplKind::Unrolled);
+  const auto plan = patched.plan;
   ASSERT_NE(plan, nullptr);
   const auto expected = expected_delivery(snap.assignment);
 
@@ -885,11 +903,11 @@ TEST(GroupPatchUnderFault, DeadLinkSweepDetectsOrMasks) {
   for (std::size_t out = 0; out < n; ++out) groups.join(id, out % 4, out);
   ASSERT_EQ(groups.route(id, net, opts).mode, GroupRouteMode::Compiled);
   groups.leave(id, 1, 5);
-  ASSERT_EQ(groups.route(id, net, opts).mode, GroupRouteMode::Patched);
+  const auto patched = groups.route(id, net, opts);
+  ASSERT_EQ(patched.mode, GroupRouteMode::Patched);
 
   const api::GroupSnapshot snap = groups.snapshot(id);
-  const PlanCache::PlanPtr plan =
-      cache.lookup(snap.assignment, fault::ImplKind::Unrolled);
+  const auto plan = patched.plan;
   ASSERT_NE(plan, nullptr);
   const auto expected = expected_delivery(snap.assignment);
 
@@ -923,10 +941,10 @@ TEST(GroupPatchUnderFault, DeadLinkSweepDetectsOrMasks) {
 }
 
 TEST(GroupManagerRouting, ReplayFaultInvalidatesAndRecompiles) {
-  // A cached plan whose replay trips the self-check (fault armed for
-  // one route ordinal) is invalidated; with no injector armed on the
-  // next route, the group recompiles cold instead of serving the bad
-  // entry.
+  // A slot plan whose replay trips the self-check (fault armed for one
+  // route) is dropped from the group's slot; with no injector armed on
+  // the next route, the group recompiles cold instead of serving the bad
+  // plan. The shared cache is never read or written by group routes.
   const std::size_t n = 16;
   PlanCache cache;
   GroupManager groups(n);
@@ -936,12 +954,12 @@ TEST(GroupManagerRouting, ReplayFaultInvalidatesAndRecompiles) {
   opts.plan_cache = &cache;
 
   for (std::size_t out = 0; out < n; ++out) groups.join(2, out % 4, out);
-  ASSERT_EQ(groups.route(2, net, opts).mode, GroupRouteMode::Compiled);
+  const auto compiled = groups.route(2, net, opts);
+  ASSERT_EQ(compiled.mode, GroupRouteMode::Compiled);
 
-  // Arm stuck switches until one disagrees with the cached settings (a
+  // Arm stuck switches until one disagrees with the slot's settings (a
   // stuck setting that matches the plan is legitimately masked): the
-  // replay must surface the detection (injector armed) and invalidate
-  // exactly the bad entry.
+  // replay must surface the detection (injector armed) and drop the slot.
   bool tripped = false;
   for (std::size_t sw = 0; sw < n / 2 && !tripped; ++sw) {
     fault::FaultPlan fplan;
@@ -957,21 +975,25 @@ TEST(GroupManagerRouting, ReplayFaultInvalidatesAndRecompiles) {
     fault::FaultInjector injector(fplan);
     RouteOptions faulty = opts;
     faulty.faults = &injector;
-    const std::uint64_t invalidations_before = cache.invalidations();
     try {
       const auto masked = groups.route(2, net, faulty);
-      // Masked replays serve the cached plan and leave it cached.
+      // Masked replays serve the slot's plan and leave it in place.
       EXPECT_EQ(masked.mode, GroupRouteMode::Replayed);
-      EXPECT_EQ(cache.invalidations(), invalidations_before);
+      EXPECT_EQ(masked.plan, compiled.plan);
     } catch (const fault::FaultDetected&) {
       tripped = true;
-      EXPECT_EQ(cache.invalidations(), invalidations_before + 1);
     }
   }
   ASSERT_TRUE(tripped);
 
-  // Clean again: the invalidated entry forces a cold compile.
-  EXPECT_EQ(groups.route(2, net, opts).mode, GroupRouteMode::Compiled);
+  // Clean again: the dropped slot forces a cold compile.
+  const auto recompiled = groups.route(2, net, opts);
+  EXPECT_EQ(recompiled.mode, GroupRouteMode::Compiled);
+  EXPECT_NE(recompiled.plan, compiled.plan);
+  EXPECT_EQ(groups.route(2, net, opts).mode, GroupRouteMode::Replayed);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.hits() + cache.misses(), 0u);
+  EXPECT_EQ(cache.invalidations(), 0u);
 }
 
 // --- front-end integration ------------------------------------------------
@@ -984,8 +1006,8 @@ TEST(GroupFrontEnds, ParallelRouterRoutesGroupsById) {
   router.set_plan_cache(&cache);
 
   // Each group's sole source is its own id, so the 24 assignments are
-  // pairwise distinct and the first pass compiles every one of them
-  // (identical assignments would share a cache entry and replay).
+  // pairwise distinct; each group compiles into its own plan slot on the
+  // first pass.
   std::vector<GroupId> ids;
   for (GroupId id = 0; id < 24; ++id) {
     ids.push_back(id);
@@ -1007,10 +1029,7 @@ TEST(GroupFrontEnds, ParallelRouterRoutesGroupsById) {
   // them while the rest still replay.
   router.route_groups(groups, ids);
   EXPECT_EQ(groups.plans_replayed(), ids.size());
-  // Churn groups with fanout >= 2 only: draining a fanout-1 group
-  // empties it, and two empty groups share one cache entry (the second
-  // would replay the first's plan, which is correct but not what this
-  // count asserts).
+  // Churn groups with fanout >= 2 only, so no group is drained empty.
   for (const GroupId id : {1, 2, 3, 4, 6, 7}) {
     const auto snap = groups.snapshot(id);
     for (std::size_t i = 0; i < n; ++i) {

@@ -1,22 +1,26 @@
-// Tests for the assignment-keyed plan cache (api/plan_cache.hpp): LRU
-// bounds and refresh, exact-key matching under forced hash collisions,
+// Tests for the assignment-keyed plan cache (api/plan_cache.hpp): the
+// bound, recency and frequency-gated admission (cyclic scans, working
+// sets that fit, working-set shifts), exact-key matching under forced
+// hash collisions,
 // fault-triggered invalidation (an n=16 stuck-switch and dead-link sweep
 // — every cached replay under an active fault must either raise
 // fault::FaultDetected and evict its entry or deliver exactly the clean
 // expectation, never a plausible-but-wrong result), the never-insert-
 // under-faults policy, explanation-aware lookups, metric mirroring, and
 // the ParallelRouter integration (cross-thread hits, batch
-// deduplication). The cross-thread test doubles as the TSan workload.
+// deduplication). The cross-thread tests double as the TSan workload.
 #include "api/plan_cache.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -103,9 +107,31 @@ RouteOptions cached_options(api::PlanCache& cache) {
   return options;
 }
 
-// --- LRU behavior ---------------------------------------------------------
+/// Look `a` up and, on a miss, insert a placeholder plan: the cache
+/// traffic of one cached route, without the compile. Returns whether the
+/// lookup hit.
+bool touch(api::PlanCache& cache, const MulticastAssignment& a) {
+  if (cache.lookup(a, fault::ImplKind::Unrolled) != nullptr) return true;
+  cache.insert(a, fault::ImplKind::Unrolled, std::make_shared<RoutePlan>());
+  return false;
+}
+
+/// `count` distinct keys on a 256-wide network.
+std::vector<MulticastAssignment> distinct_keys(std::size_t first,
+                                               std::size_t count) {
+  std::vector<MulticastAssignment> keys;
+  for (std::size_t s = first; s < first + count; ++s) {
+    keys.push_back(salted_assignment(256, s));
+  }
+  return keys;
+}
+
+// --- bound, recency and admission ------------------------------------------
 
 TEST(PlanCacheLru, BoundsEntriesAndEvictsLeastRecentlyUsed) {
+  // A full shard admits a new plan only when its key was looked up
+  // strictly more often than the shard's least-recently-used entry, and
+  // then evicts exactly that entry; a tie rejects the newcomer.
   const std::size_t n = 16;
   api::PlanCache cache({.capacity = 2, .shards = 1});
   Brsmn net(n);
@@ -119,18 +145,100 @@ TEST(PlanCacheLru, BoundsEntriesAndEvictsLeastRecentlyUsed) {
   EXPECT_EQ(cache.misses(), 2u);
   EXPECT_EQ(cache.evictions(), 0u);
 
-  // Refresh a1, then overflow: a2 (now least recently used) is evicted.
+  // Refresh a1 (seen twice): a2 (seen once) is the least recently used.
   net.route(a1, cached_options(cache));
   EXPECT_EQ(cache.hits(), 1u);
+  // a3 seen once, no more than a2: rejected, a2 stays.
+  net.route(a3, cached_options(cache));
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.evictions(), 0u);
+  EXPECT_EQ(cache.rejections(), 1u);
+  // a3 seen twice, more than a2: admitted, evicting a2.
   net.route(a3, cached_options(cache));
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.evictions(), 1u);
 
-  // a1 survived the eviction, a2 did not.
+  // a1 survived; a2 did not, and seen twice it ties a3, now the least
+  // recently used, so it is rejected in turn.
   net.route(a1, cached_options(cache));
   EXPECT_EQ(cache.hits(), 2u);
   net.route(a2, cached_options(cache));
-  EXPECT_EQ(cache.misses(), 4u);
+  EXPECT_EQ(cache.misses(), 5u);
+  EXPECT_EQ(cache.evictions(), 1u);
+  EXPECT_EQ(cache.rejections(), 2u);
+}
+
+TEST(PlanCacheAdmission, CyclicScanKeepsAStableResidentHalf) {
+  // 64 keys cycled in order through a 32-entry shard. Plain LRU would
+  // hit 0 times here: each plan is the least recently used exactly when
+  // the 32 other keys since its last visit have pushed it out, one
+  // lookup before its next use. Admission instead keeps about half
+  // resident: every key is looked up once per cycle, so a newcomer only
+  // ties the tail and is rejected, except where a sketch collision
+  // inflates its estimate (16 evictions over the run).
+  api::PlanCache cache({.capacity = 32, .shards = 1});
+  const auto keys = distinct_keys(0, 64);
+  const int kCycles = 12;  // spans three halvings of the sketch
+  std::size_t hits_after_first = 0;
+  for (int cycle = 0; cycle < kCycles; ++cycle) {
+    for (const auto& k : keys) {
+      if (touch(cache, k) && cycle > 0) ++hits_after_first;
+    }
+  }
+  const double lookups = static_cast<double>((kCycles - 1) * keys.size());
+  EXPECT_GE(static_cast<double>(hits_after_first) / lookups, 0.45);
+  EXPECT_EQ(hits_after_first, 338u);  // of 704 lookups: 0.48
+  EXPECT_EQ(cache.size(), 32u);
+  EXPECT_EQ(cache.evictions(), 16u);
+}
+
+TEST(PlanCacheAdmission, WorkingSetThatFitsHitsExactlyAsUnderLru) {
+  // With every key resident after its first touch, LRU misses each key
+  // once and hits every other lookup; admission never turns a key away
+  // below the bound, so it must do exactly the same.
+  for (const std::size_t set : {24u, 32u}) {
+    SCOPED_TRACE("working set " + std::to_string(set));
+    api::PlanCache cache({.capacity = 32, .shards = 1});
+    const auto keys = distinct_keys(0, set);
+    Rng rng(test_seed(9100));
+    const std::size_t kLookups = 2000;
+    std::size_t hits = 0;
+    for (std::size_t i = 0; i < kLookups; ++i) {
+      hits += touch(cache, keys[rng.uniform(0, set - 1)]) ? 1 : 0;
+    }
+    const std::size_t touched = cache.size();
+    EXPECT_EQ(touched, set);  // 2000 uniform draws reach every key
+    EXPECT_EQ(hits, kLookups - touched);
+    EXPECT_EQ(cache.misses(), touched);
+    EXPECT_EQ(cache.evictions(), 0u);
+    EXPECT_EQ(cache.rejections(), 0u);
+  }
+}
+
+TEST(PlanCacheAdmission, ShiftedWorkingSetIsResidentWithinPinnedPasses) {
+  // Set A fills the shard and is seen 8 times each; then the traffic
+  // moves to set B. B's keys are turned away until their counts pass
+  // A's: the sketch halves every counter each 10 x 32 lookups, so A's 8
+  // become 4 early in B's life, and most of B is admitted on its 6th
+  // pass. Only the tail is compared, so one A key whose estimate a
+  // sketch collision inflated holds the rest of B off until pass 9. The
+  // lag is documented in docs/PERFORMANCE.md ("The plan cache").
+  api::PlanCache cache({.capacity = 32, .shards = 1});
+  const auto a = distinct_keys(0, 32);
+  const auto b = distinct_keys(32, 32);
+  for (int pass = 0; pass < 8; ++pass) {
+    for (const auto& k : a) touch(cache, k);
+  }
+  int resident_at = -1;
+  for (int pass = 1; pass <= 20 && resident_at < 0; ++pass) {
+    std::size_t hits = 0;
+    for (const auto& k : b) hits += touch(cache, k) ? 1 : 0;
+    if (hits == b.size()) resident_at = pass;
+  }
+  EXPECT_EQ(resident_at, 10);  // the last of B admitted on pass 9
+  for (const auto& k : a) {
+    EXPECT_EQ(cache.lookup(k, fault::ImplKind::Unrolled), nullptr);
+  }
 }
 
 TEST(PlanCacheLru, ReinsertReplacesInsteadOfDuplicating) {
@@ -185,20 +293,35 @@ api::PlanCache::PlanPtr lock_probing_plan(api::PlanCache& cache,
 
 TEST(PlanCacheLru, EvictedAndReplacedPlansAreFreedOutsideTheShardLock) {
   const std::size_t n = 16;
-  api::PlanCache cache({.capacity = 1, .shards = 1});
-  for (const bool evict : {true, false}) {
-    SCOPED_TRACE(evict ? "evicted" : "replaced");
+  const auto k1 = salted_assignment(n, 1);
+  const auto k2 = salted_assignment(n, 2);
+  const auto plain = [] { return std::make_shared<RoutePlan>(); };
+  for (const char* how : {"evicted", "replaced", "rejected"}) {
+    SCOPED_TRACE(how);
+    api::PlanCache cache({.capacity = 1, .shards = 1});
     LockProbe probe;
-    cache.insert(salted_assignment(n, 1), fault::ImplKind::Unrolled,
-                 lock_probing_plan(cache, probe));
-    cache.insert(salted_assignment(n, evict ? 2 : 1),
-                 fault::ImplKind::Unrolled, std::make_shared<RoutePlan>());
+    const std::string_view c(how);
+    if (c == "rejected") {
+      // The resident k1 and the candidate k2 were both looked up as
+      // often (never): the candidate's probing plan is turned away.
+      cache.insert(k1, fault::ImplKind::Unrolled, plain());
+      cache.insert(k2, fault::ImplKind::Unrolled,
+                   lock_probing_plan(cache, probe));
+      EXPECT_EQ(cache.rejections(), 1u);
+    } else {
+      cache.insert(k1, fault::ImplKind::Unrolled,
+                   lock_probing_plan(cache, probe));
+      // A looked-up k2 outranks k1 and evicts it; k1 again replaces.
+      const auto& next = c == "evicted" ? k2 : k1;
+      cache.lookup(next, fault::ImplKind::Unrolled);
+      cache.insert(next, fault::ImplKind::Unrolled, plain());
+      EXPECT_EQ(cache.evictions(), c == "evicted" ? 1u : 0u);
+    }
     ASSERT_TRUE(probe.prober.joinable());
     probe.prober.join();
     EXPECT_TRUE(probe.free_at_destruction);
     EXPECT_EQ(cache.size(), 1u);
   }
-  EXPECT_EQ(cache.evictions(), 2u);  // the second round's insert evicts too
 }
 
 // --- exact keys under collisions -------------------------------------------
@@ -227,6 +350,42 @@ TEST(PlanCacheKeys, ForcedHashCollisionsFallBackToExactComparison) {
     EXPECT_EQ(r.delivered, cold[i]) << "collision mixed up assignment " << i;
   }
   EXPECT_EQ(cache.hits(), as.size());
+}
+
+TEST(PlanCacheKeys, AdmissionUnderCollisionsNeverServesAnotherKeysPlan) {
+  // With every key on one hash, the sketch cannot tell keys apart: all
+  // estimates tie, so a full shard admits nothing new. The first four
+  // keys stay resident and every other key is compiled afresh each
+  // time; no route is ever served a plan compiled for another key.
+  const std::size_t n = 16;
+  api::PlanCache cache({.capacity = 4, .shards = 1,
+                        .force_hash_collisions = true});
+  Brsmn net(n);
+  std::vector<MulticastAssignment> as;
+  std::vector<std::vector<std::optional<std::size_t>>> cold;
+  for (std::size_t s = 0; s < 12; ++s) {
+    as.push_back(salted_assignment(n, s));
+    cold.push_back(Brsmn(n).route(as.back()).delivered);
+  }
+  for (int pass = 0; pass < 3; ++pass) {
+    for (std::size_t i = 0; i < as.size(); ++i) {
+      const RouteResult r = net.route(as[i], cached_options(cache));
+      EXPECT_EQ(r.delivered, cold[i]) << "pass " << pass << " key " << i;
+    }
+  }
+  EXPECT_EQ(cache.size(), 4u);
+  EXPECT_EQ(cache.hits(), 8u);
+  EXPECT_EQ(cache.misses(), 28u);
+  EXPECT_EQ(cache.rejections(), 24u);
+  EXPECT_EQ(cache.evictions(), 0u);
+  for (std::size_t i = 0; i < as.size(); ++i) {
+    const api::PlanCache::PlanPtr plan =
+        cache.lookup(as[i], fault::ImplKind::Unrolled);
+    EXPECT_EQ(plan != nullptr, i < 4) << "key " << i;
+    if (plan != nullptr) {
+      EXPECT_EQ(plan->delivered, cold[i]);
+    }
+  }
 }
 
 TEST(PlanCacheKeys, ImplementationsGetSeparateEntries) {
@@ -409,18 +568,31 @@ TEST(PlanCacheMetrics, CountersMirrorIntoRegistry) {
   api::PlanCache cache({.capacity = 1, .shards = 1});
   cache.attach_metrics(registry);
   Brsmn net(n);
+  const auto a1 = salted_assignment(n, 1);
+  const auto a2 = salted_assignment(n, 2);
 
-  net.route(salted_assignment(n, 1), cached_options(cache));  // miss
-  net.route(salted_assignment(n, 1), cached_options(cache));  // hit
-  net.route(salted_assignment(n, 2), cached_options(cache));  // miss + evict
+  net.route(a1, cached_options(cache));  // miss
+  net.route(a1, cached_options(cache));  // hit: a1 seen twice
+  // a2 seen once, then twice: no more often than a1, so rejected twice.
+  net.route(a2, cached_options(cache));
+  EXPECT_EQ(cache.rejections(), 1u);
+  net.route(a2, cached_options(cache));
+  EXPECT_EQ(cache.rejections(), 2u);
+  EXPECT_EQ(cache.evictions(), 0u);
+  // Seen a third time, a2 outranks a1: admitted, evicting a1.
+  net.route(a2, cached_options(cache));
+  net.route(a2, cached_options(cache));  // hit
 
   EXPECT_EQ(registry.counter("plan_cache.hits").value(), cache.hits());
   EXPECT_EQ(registry.counter("plan_cache.misses").value(), cache.misses());
   EXPECT_EQ(registry.counter("plan_cache.evictions").value(),
             cache.evictions());
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(registry.counter("plan_cache.rejections").value(),
+            cache.rejections());
+  EXPECT_EQ(cache.hits(), 2u);
+  EXPECT_EQ(cache.misses(), 4u);
   EXPECT_EQ(cache.evictions(), 1u);
+  EXPECT_EQ(cache.rejections(), 2u);
 }
 
 TEST(PlanCacheMetrics, ReplayRecordsPhaseHistogram) {
@@ -558,6 +730,44 @@ TEST(PlanCacheParallel, CrossThreadHitsOnRepeatedBatches) {
   for (std::size_t i = 0; i < batch.size(); ++i) {
     EXPECT_EQ(first[i].delivered, second[i].delivered) << "index " << i;
   }
+}
+
+TEST(PlanCacheParallel, ConcurrentScansRaceSketchAdmissionAndEviction) {
+  // Four threads look up and insert over 64 keys through a 16-entry
+  // cache, so the sketch updates, admission decisions, evictions and
+  // rejections of one shard interleave across threads (the TSan
+  // workload for the admission path). Each placeholder plan carries its
+  // key's salt in `delivered`: a hit must return the plan of its key.
+  api::PlanCache cache({.capacity = 16, .shards = 2});
+  const auto keys = distinct_keys(0, 64);
+  const unsigned kThreads = 4;
+  const std::size_t kOps = 3000;
+  std::atomic<std::size_t> wrong{0};
+  std::vector<std::thread> pool;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t] {
+      Rng rng(test_seed(9200 + t));
+      for (std::size_t op = 0; op < kOps; ++op) {
+        // Skewed toward the low keys, so frequencies differ.
+        const std::size_t s =
+            std::min(rng.uniform(0, 63), rng.uniform(0, 63));
+        const auto plan = cache.lookup(keys[s], fault::ImplKind::Unrolled);
+        if (plan != nullptr) {
+          if (plan->delivered.size() != 1 || plan->delivered[0] != s) ++wrong;
+          continue;
+        }
+        auto fresh = std::make_shared<RoutePlan>();
+        fresh->delivered.assign(1, s);
+        cache.insert(keys[s], fault::ImplKind::Unrolled, std::move(fresh));
+      }
+    });
+  }
+  for (auto& th : pool) th.join();
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_EQ(cache.hits() + cache.misses(), kThreads * kOps);
+  EXPECT_LE(cache.size(), 16u);
+  EXPECT_GT(cache.evictions(), 0u);
+  EXPECT_GT(cache.rejections(), 0u);
 }
 
 TEST(PlanCacheParallel, BatchDeduplicationWorksWithoutCache) {

@@ -1,15 +1,17 @@
-// Thread-scaling of batch routing (ParallelRouter): independent
-// assignments shard across worker threads, each with a private fabric.
+// Shard scaling of cluster batch routing (api::Cluster::route_batch):
+// independent assignments are placed across shards, each shard routing
+// on its own worker thread with a private fabric — the production
+// request path, with the plan caches off so every iteration routes.
 //
-// --metrics-out=<path> attaches a MetricRegistry: per-worker batch
-// latency, work distribution/imbalance, and per-phase route timings are
-// dumped as JSON after the run.
+// --metrics-out=<path> attaches a MetricRegistry to the cluster: per-
+// request and per-shard latency, the cluster.* outcome counters, and
+// per-phase route timings are dumped as JSON after the run.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <iostream>
 
-#include "api/parallel_router.hpp"
+#include "api/cluster.hpp"
 #include "hw/adder_tree.hpp"
 #include "common/rng.hpp"
 #include "obs/export.hpp"
@@ -32,19 +34,21 @@ std::vector<brsmn::MulticastAssignment> make_batch(std::size_t n,
 
 void BM_BatchRouting(benchmark::State& state) {
   const std::size_t n = 512;
-  const auto threads = static_cast<unsigned>(state.range(0));
   const auto batch = make_batch(n, 32);
-  brsmn::api::ParallelRouter router(n, threads);
-  router.set_metrics(g_metrics);
+  brsmn::api::ClusterConfig config;
+  config.shards = static_cast<std::size_t>(state.range(0));
+  config.plan_cache = false;
+  config.metrics = g_metrics;
+  brsmn::api::Cluster cluster(n, config);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(router.route_batch(batch));
+    benchmark::DoNotOptimize(cluster.route_batch(batch));
   }
   state.counters["assignments/s"] = benchmark::Counter(
       static_cast<double>(state.iterations() * batch.size()),
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_BatchRouting)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_PipelineAdderTreeCycles(benchmark::State& state) {
   // Wall-clock of the gate-level forward-phase simulation (Fig. 12).

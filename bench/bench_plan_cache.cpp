@@ -1,4 +1,4 @@
-// Cold route vs warm plan replay vs deduplicated batches
+// Cold route vs warm replay of the plans the plan cache holds
 // (core/route_plan.hpp, api/plan_cache.hpp).
 //
 // The cold families route a fixed dense multicast from scratch through
@@ -26,8 +26,6 @@
 #include <new>
 #include <vector>
 
-#include "api/plan_cache.hpp"
-#include "api/parallel_router.hpp"
 #include "common/rng.hpp"
 #include "core/brsmn.hpp"
 #include "core/feedback.hpp"
@@ -158,43 +156,6 @@ void BM_WarmFeedbackReplay(benchmark::State& state) {
 }
 BENCHMARK(BM_WarmFeedbackReplay)->RangeMultiplier(4)->Range(64, 1024);
 
-// --- deduplicated batches -------------------------------------------------
-
-// A ParallelRouter batch of 16 assignments with 4 distinct patterns:
-// dedup collapses each repetition group to one route, and the shared
-// plan cache turns repeat batches into replays.
-void BM_DedupBatchRoute(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  brsmn::Rng rng(1);
-  std::vector<brsmn::MulticastAssignment> unique;
-  for (int i = 0; i < 4; ++i) {
-    unique.push_back(brsmn::random_multicast(n, 0.9, rng));
-  }
-  std::vector<brsmn::MulticastAssignment> batch;
-  for (int rep = 0; rep < 4; ++rep) {
-    for (const auto& a : unique) batch.push_back(a);
-  }
-  brsmn::api::PlanCache cache;
-  brsmn::api::ParallelRouter router(n, 4);
-  router.set_plan_cache(&cache);
-  // Only the cache counters are exported: forwarding the registry to the
-  // router would record the workers' route.* metrics, whose names belong
-  // to bench_routing_time in the merged BENCH_baseline.json.
-  if (g_metrics != nullptr) {
-    g_metrics->reset("plan_cache");
-    cache.attach_metrics(*g_metrics);
-  }
-  for (auto _ : state) {
-    auto results = router.route_batch(batch);
-    benchmark::DoNotOptimize(results);
-  }
-  state.counters["routes_per_s"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) *
-          static_cast<double>(batch.size()),
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_DedupBatchRoute)->RangeMultiplier(4)->Range(64, 1024);
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -208,7 +169,7 @@ int main(int argc, char** argv) {
                               brsmn::obs::claims_stdout(trace_path);
   std::FILE* report = dump_to_stdout ? stderr : stdout;
   std::fprintf(report,
-               "Cold route vs warm plan replay vs deduplicated batches.\n"
+               "Cold route vs warm plan replay.\n"
                "Metric prefixes: cold.route.* / warm.route.* / "
                "cold.feedback.* / warm.feedback.* — gate the warm/cold "
                "ratio with tools/bench_diff (docs/PERFORMANCE.md).\n\n");

@@ -30,10 +30,10 @@
 // by LRU. Replacing a key, or inserting below the bound, always admits.
 //
 // Thread safety: the cache is sharded, each shard holding its own mutex,
-// bounded recency list, hash index and sketch — ParallelRouter workers
-// hit it concurrently. Hit/miss/eviction/rejection/invalidation counts
-// are kept in atomics and optionally mirrored into plan_cache.* registry
-// counters.
+// bounded recency list, hash index and sketch — the workers of one
+// cluster shard hit it concurrently. Hit/miss/eviction/rejection/
+// invalidation counts are kept in atomics and optionally mirrored into
+// plan_cache.* registry counters.
 #pragma once
 
 #include <atomic>

@@ -105,7 +105,7 @@ struct RoutePlan {
 /// Canonical 64-bit fingerprint of (assignment):
 /// MulticastAssignment::fingerprint, computed once per assignment and
 /// carried by its copies. Shared by shard placement, the plan cache's
-/// bucket hash, ParallelRouter's batch deduplication and group routes.
+/// bucket hash and group routes.
 std::uint64_t assignment_fingerprint(const MulticastAssignment& a);
 
 namespace planner {

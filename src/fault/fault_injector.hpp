@@ -68,7 +68,8 @@ class FaultInjector {
   std::size_t size() const noexcept { return plan_.n; }
 
   /// Claim the next route ordinal. Called once per route() by the
-  /// engines; atomic so ParallelRouter workers share one schedule.
+  /// engines; atomic so the workers of one cluster shard share one
+  /// schedule.
   std::uint64_t begin_route() noexcept {
     return next_route_.fetch_add(1, std::memory_order_relaxed);
   }

@@ -15,14 +15,15 @@
 // plan slot, the slot dropped on a detection), a multi-threaded churn
 // soak against a shadow reference map (run under TSan in CI), a
 // fault-injection sweep over replays of a patched plan (detect-or-mask,
-// never mis-deliver), and the group routing entry points of
-// ParallelRouter, ResilientRouter and QueuedMulticastSwitch.
+// never mis-deliver), and the group routing entry points of Cluster,
+// ResilientRouter and QueuedMulticastSwitch.
 #include "api/group_manager.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
+#include <future>
 #include <iterator>
 #include <map>
 #include <memory>
@@ -33,7 +34,7 @@
 #include <utility>
 #include <vector>
 
-#include "api/parallel_router.hpp"
+#include "api/cluster.hpp"
 #include "api/plan_cache.hpp"
 #include "api/resilient_router.hpp"
 #include "common/contracts.hpp"
@@ -998,12 +999,27 @@ TEST(GroupManagerRouting, ReplayFaultInvalidatesAndRecompiles) {
 
 // --- front-end integration ------------------------------------------------
 
-TEST(GroupFrontEnds, ParallelRouterRoutesGroupsById) {
+TEST(GroupFrontEnds, ClusterRoutesGroupsById) {
   const std::size_t n = 32;
-  PlanCache cache;
   GroupManager groups(n);
-  api::ParallelRouter router(n, 4);
-  router.set_plan_cache(&cache);
+  api::ClusterConfig config;
+  config.shards = 2;
+  config.workers_per_shard = 2;
+  config.seed = test_seed(2027);
+  api::Cluster cluster(n, config);
+  const auto route_all = [&](const std::vector<GroupId>& ids) {
+    std::vector<std::future<api::ClusterOutcome>> futures;
+    for (const GroupId id : ids) {
+      futures.push_back(cluster.submit_group(groups, id));
+    }
+    std::vector<RouteResult> results;
+    for (auto& f : futures) {
+      const api::ClusterOutcome out = f.get();
+      EXPECT_EQ(out.request.outcome, api::RouteOutcome::Delivered);
+      results.push_back(out.request.result.value_or(RouteResult{}));
+    }
+    return results;
+  };
 
   // Each group's sole source is its own id, so the 24 assignments are
   // pairwise distinct; each group compiles into its own plan slot on the
@@ -1017,7 +1033,7 @@ TEST(GroupFrontEnds, ParallelRouterRoutesGroupsById) {
     }
   }
 
-  const std::vector<RouteResult> results = router.route_groups(groups, ids);
+  const std::vector<RouteResult> results = route_all(ids);
   ASSERT_EQ(results.size(), ids.size());
   for (std::size_t i = 0; i < ids.size(); ++i) {
     EXPECT_EQ(results[i].delivered,
@@ -1027,7 +1043,7 @@ TEST(GroupFrontEnds, ParallelRouterRoutesGroupsById) {
 
   // Second pass replays; churn a few groups and the third pass patches
   // them while the rest still replay.
-  router.route_groups(groups, ids);
+  route_all(ids);
   EXPECT_EQ(groups.plans_replayed(), ids.size());
   // Churn groups with fanout >= 2 only, so no group is drained empty.
   for (const GroupId id : {1, 2, 3, 4, 6, 7}) {
@@ -1039,10 +1055,17 @@ TEST(GroupFrontEnds, ParallelRouterRoutesGroupsById) {
       }
     }
   }
-  router.route_groups(groups, ids);
+  const std::vector<RouteResult> churned = route_all(ids);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(churned[i].delivered,
+              expected_delivery(groups.snapshot(ids[i]).assignment));
+  }
   EXPECT_EQ(groups.plans_patched() + groups.plans_compiled(),
             ids.size() + 6u);
-  EXPECT_THROW(router.route_groups(groups, {999}), ContractViolation);
+  // An unknown group fails its own future; the cluster serves on.
+  EXPECT_THROW(cluster.submit_group(groups, 999).get(), ContractViolation);
+  EXPECT_EQ(route_all({0}).size(), 1u);
+  cluster.stop();
 }
 
 TEST(GroupFrontEnds, ResilientRouterWalksLadderForGroups) {

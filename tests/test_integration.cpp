@@ -1,9 +1,16 @@
 // Cross-module integration scenarios: the application patterns from the
 // paper's introduction (video distribution, barrier synchronization,
 // FFT-style butterflies) routed end-to-end through both implementations
-// and checked against the oracle.
+// and checked against the oracle, and cell switching as
+// examples/cell_switch does it (wire headers in, payloads out).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
+#include <utility>
+#include <vector>
+
+#include "api/header_codec.hpp"
 #include "baselines/crossbar_multicast.hpp"
 #include "common/rng.hpp"
 #include "core/brsmn.hpp"
@@ -160,6 +167,106 @@ TEST(Integration, GateDelayIndependentOfWorkloadShape) {
   EXPECT_EQ(d2, d3);
   EXPECT_EQ(d3, d4);
 }
+
+// --- cell switching -------------------------------------------------------
+//
+// One epoch of a cell switch, as examples/cell_switch runs it: each
+// cell's destination set crosses the wire as a Table 1 header, the
+// decoded sets form the epoch's assignment, the packed engine routes it
+// on one fabric kept across epochs, and each delivered output receives a
+// copy of its source's payload.
+
+enum class Fabric { kUnrolled, kFeedback };
+
+struct Delivery {
+  std::size_t output = 0;
+  std::size_t source = 0;
+  std::vector<std::uint8_t> payload;
+};
+
+std::vector<std::uint8_t> payload_for(std::size_t source) {
+  return {static_cast<std::uint8_t>(source), 0xAB,
+          static_cast<std::uint8_t>(source * 7)};
+}
+
+class SwitchEngineTest : public ::testing::TestWithParam<Fabric> {
+ protected:
+  /// Route one epoch: dests[i] are input i's destinations (empty = idle
+  /// input). Returns the deliveries in output order.
+  std::vector<Delivery> route_epoch(
+      std::size_t n, const std::vector<std::vector<std::size_t>>& dests) {
+    std::vector<std::vector<std::size_t>> decoded(n);
+    for (std::size_t in = 0; in < dests.size(); ++in) {
+      if (dests[in].empty()) continue;
+      decoded[in] = api::decode_header(api::encode_header(dests[in], n));
+    }
+    const MulticastAssignment a(n, std::move(decoded));
+    RouteOptions options;
+    options.engine = RouteEngine::Packed;
+    RouteResult result;
+    if (GetParam() == Fabric::kUnrolled) {
+      if (!unrolled_) unrolled_ = std::make_unique<Brsmn>(n);
+      result = unrolled_->route(a, options);
+    } else {
+      if (!feedback_) feedback_ = std::make_unique<FeedbackBrsmn>(n);
+      result = feedback_->route(a, options);
+    }
+    std::vector<Delivery> deliveries;
+    for (std::size_t out = 0; out < n; ++out) {
+      if (!result.delivered[out]) continue;
+      const std::size_t src = *result.delivered[out];
+      deliveries.push_back(Delivery{out, src, payload_for(src)});
+    }
+    return deliveries;
+  }
+
+ private:
+  std::unique_ptr<Brsmn> unrolled_;
+  std::unique_ptr<FeedbackBrsmn> feedback_;
+};
+
+TEST_P(SwitchEngineTest, DeliversPayloadsToAllDestinations) {
+  const auto deliveries = route_epoch(
+      8, {{0, 1}, {}, {3, 4, 7}, {2}, {}, {}, {}, {5, 6}});
+  ASSERT_EQ(deliveries.size(), 8u);
+  const std::size_t want_source[] = {0, 0, 3, 2, 2, 7, 7, 2};
+  for (std::size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(deliveries[i].output, i);
+    EXPECT_EQ(deliveries[i].source, want_source[i]);
+    EXPECT_EQ(deliveries[i].payload, payload_for(want_source[i]));
+  }
+}
+
+TEST_P(SwitchEngineTest, EpochsAreIndependent) {
+  std::vector<std::vector<std::size_t>> dests(8);
+  dests[1] = {0, 1, 2, 3};
+  EXPECT_EQ(route_epoch(8, dests).size(), 4u);
+  // The next epoch on the same fabric may reuse the same outputs freely.
+  dests[1].clear();
+  dests[5] = {0, 1, 2, 3, 4, 5, 6, 7};
+  const auto second = route_epoch(8, dests);
+  EXPECT_EQ(second.size(), 8u);
+  for (const auto& d : second) EXPECT_EQ(d.source, 5u);
+}
+
+TEST_P(SwitchEngineTest, RandomEpochsDeliverExactly) {
+  const std::size_t n = 64;
+  Rng rng(test_seed(7));
+  for (int epoch = 0; epoch < 10; ++epoch) {
+    const auto a = random_multicast(n, 0.7, rng);
+    std::vector<std::vector<std::size_t>> dests(n);
+    for (std::size_t i = 0; i < n; ++i) dests[i] = a.destinations(i);
+    const auto deliveries = route_epoch(n, dests);
+    EXPECT_EQ(deliveries.size(), a.total_connections());
+    for (const auto& d : deliveries) {
+      EXPECT_EQ(a.src_of()[d.output], d.source);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, SwitchEngineTest,
+                         ::testing::Values(Fabric::kUnrolled,
+                                           Fabric::kFeedback));
 
 }  // namespace
 }  // namespace brsmn

@@ -154,17 +154,17 @@ TEST(MetricRegistry, ConcurrentRecordingLosesNothing) {
 TEST(MetricRegistry, ResetZeroesValuesButKeepsRegistrations) {
   MetricRegistry r;
   Counter& c = r.counter("route.routes");
-  Gauge& g = r.gauge("parallel.last_imbalance");
+  Gauge& g = r.gauge("cluster.shard.0.failure_rate");
   Histogram& h = r.histogram("route.phase.total_ns");
   c.add(42);
-  g.set(7.5);
+  g.set(0.75);
   for (const double v : {100.0, 200.0, 400.0}) h.record(v);
 
   r.reset();
 
   // Same instrument objects, zeroed state.
   EXPECT_EQ(&r.counter("route.routes"), &c);
-  EXPECT_EQ(&r.gauge("parallel.last_imbalance"), &g);
+  EXPECT_EQ(&r.gauge("cluster.shard.0.failure_rate"), &g);
   EXPECT_EQ(&r.histogram("route.phase.total_ns"), &h);
   EXPECT_EQ(c.value(), 0u);
   EXPECT_DOUBLE_EQ(g.value(), 0.0);
@@ -223,7 +223,7 @@ TEST(MetricRegistry, ResetOnEmptyRegistryIsANoOp) {
 
 void fill_sample_registry(MetricRegistry& r) {
   r.counter("route.routes").add(3);
-  r.gauge("parallel.last_imbalance").set(1.25);
+  r.gauge("cluster.shard.0.failure_rate").set(0.25);
   Histogram& h = r.histogram("route.phase.total_ns");
   for (const double v : {100.0, 200.0, 400.0, 800.0, 1600.0, 3200.0}) {
     h.record(v);
@@ -238,7 +238,7 @@ TEST(Export, JsonRoundTripsThroughParser) {
 
   EXPECT_EQ(doc.at("counters").at("route.routes").as_number(), 3.0);
   EXPECT_DOUBLE_EQ(
-      doc.at("gauges").at("parallel.last_imbalance").as_number(), 1.25);
+      doc.at("gauges").at("cluster.shard.0.failure_rate").as_number(), 0.25);
 
   const JsonValue& hist = doc.at("histograms").at("route.phase.total_ns");
   const HistogramSnapshot& expect = snap.histograms[0].second;
@@ -272,7 +272,7 @@ TEST(Export, CsvHasHeaderAndOneRowPerInstrument) {
   EXPECT_NE(csv.find("kind,name,count,sum,min,max,mean,p50,p99\n"),
             std::string::npos);
   EXPECT_NE(csv.find("counter,route.routes,3"), std::string::npos);
-  EXPECT_NE(csv.find("gauge,parallel.last_imbalance,1.25"),
+  EXPECT_NE(csv.find("gauge,cluster.shard.0.failure_rate,0.25"),
             std::string::npos);
   EXPECT_NE(csv.find("histogram,route.phase.total_ns,6"), std::string::npos);
   EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 4);

@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "api/parallel_router.hpp"
 #include "common/rng.hpp"
 #include "core/block_tables.hpp"
 #include "core/brsmn.hpp"
@@ -652,28 +651,6 @@ TEST(TagCensus, CountsMatchPlanePopcounts) {
         }
       }
     }
-  }
-}
-
-TEST(PackedDifferential, ParallelRouterComposesWorkerAndWordParallelism) {
-  const std::size_t n = 64;
-  Rng rng(test_seed(7500));
-  std::vector<MulticastAssignment> batch;
-  for (int t = 0; t < 16; ++t) {
-    batch.push_back(random_multicast(n, 0.5, rng));
-  }
-  // The router's workers route packed; the scalar oracle routes the
-  // same batch serially.
-  api::ParallelRouter packed_router(n, 4);
-  const auto packed_results = packed_router.route_batch(batch);
-  ASSERT_EQ(packed_results.size(), batch.size());
-  Brsmn scalar_net(n);
-  RouteOptions scalar_opts;
-  scalar_opts.engine = RouteEngine::Scalar;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const RouteResult scalar = scalar_net.route(batch[i], scalar_opts);
-    EXPECT_EQ(scalar.delivered, packed_results[i].delivered);
-    expect_stats_eq(scalar.stats, packed_results[i].stats);
   }
 }
 

@@ -7,8 +7,9 @@
 // fault::FaultDetected and evict its entry or deliver exactly the clean
 // expectation, never a plausible-but-wrong result), the never-insert-
 // under-faults policy, explanation-aware lookups, metric mirroring, and
-// the ParallelRouter integration (cross-thread hits, batch
-// deduplication). The cross-thread tests double as the TSan workload.
+// cross-thread use (plans one thread compiled replayed by its peers;
+// admission and eviction raced). The cross-thread tests double as the
+// TSan workload.
 #include "api/plan_cache.hpp"
 
 #include <gtest/gtest.h>
@@ -24,7 +25,6 @@
 #include <thread>
 #include <vector>
 
-#include "api/parallel_router.hpp"
 #include "common/rng.hpp"
 #include "core/brsmn.hpp"
 #include "core/feedback.hpp"
@@ -699,36 +699,55 @@ TEST(PlanCacheSimd, SteadyStateCachedReplayIsAllocationFreeOnEveryBackend) {
   }
 }
 
-// --- ParallelRouter integration --------------------------------------------
+// --- cross-thread use ------------------------------------------------------
 
 TEST(PlanCacheParallel, CrossThreadHitsOnRepeatedBatches) {
+  // Four threads, each with its own engine, share one cache. First each
+  // compiles one distinct assignment; then each routes all four, so
+  // every lookup replays a plan that some thread compiled — three of the
+  // four on a peer thread.
   const std::size_t n = 32;
+  constexpr unsigned kThreads = 4;
   Rng rng(test_seed(8800));
   std::vector<MulticastAssignment> unique;
-  for (int i = 0; i < 4; ++i) unique.push_back(random_multicast(n, 0.5, rng));
-  std::vector<MulticastAssignment> batch;
-  for (int rep = 0; rep < 3; ++rep) {
-    for (const auto& a : unique) batch.push_back(a);
+  for (unsigned i = 0; i < kThreads; ++i) {
+    unique.push_back(random_multicast(n, 0.5, rng));
   }
 
   api::PlanCache cache;
-  api::ParallelRouter router(n, 4);
-  router.set_plan_cache(&cache);
+  RouteOptions options;
+  options.engine = RouteEngine::Packed;
+  options.plan_cache = &cache;
+  std::vector<std::vector<RouteResult>> routed(kThreads);
+  const auto run = [&](bool all) {
+    std::vector<std::thread> pool;
+    for (unsigned t = 0; t < kThreads; ++t) {
+      pool.emplace_back([&, t] {
+        Brsmn net(n);
+        for (unsigned i = 0; i < kThreads; ++i) {
+          if (!all && i != t) continue;
+          routed[t].push_back(api::route_via_cache(net, unique[i], options));
+        }
+      });
+    }
+    for (auto& th : pool) th.join();
+  };
 
-  const auto first = router.route_batch(batch);
-  // Batch dedup collapses the 3 repeats, so only the unique assignments
-  // routed — all misses.
+  run(false);
   EXPECT_EQ(cache.misses(), unique.size());
   EXPECT_EQ(cache.hits(), 0u);
-
-  const auto second = router.route_batch(batch);
-  EXPECT_EQ(cache.hits(), unique.size());
+  run(true);
+  EXPECT_EQ(cache.hits(), kThreads * unique.size());
   EXPECT_EQ(cache.misses(), unique.size());
 
-  ASSERT_EQ(first.size(), batch.size());
-  ASSERT_EQ(second.size(), batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(first[i].delivered, second[i].delivered) << "index " << i;
+  Brsmn serial(n);
+  for (unsigned t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(routed[t].size(), 1 + unique.size());
+    EXPECT_EQ(routed[t][0].delivered, serial.route(unique[t]).delivered);
+    for (unsigned i = 0; i < kThreads; ++i) {
+      EXPECT_EQ(routed[t][1 + i].delivered, serial.route(unique[i]).delivered)
+          << "thread " << t << " assignment " << i;
+    }
   }
 }
 
@@ -768,50 +787,6 @@ TEST(PlanCacheParallel, ConcurrentScansRaceSketchAdmissionAndEviction) {
   EXPECT_LE(cache.size(), 16u);
   EXPECT_GT(cache.evictions(), 0u);
   EXPECT_GT(cache.rejections(), 0u);
-}
-
-TEST(PlanCacheParallel, BatchDeduplicationWorksWithoutCache) {
-  const std::size_t n = 32;
-  Rng rng(test_seed(8900));
-  const auto a = random_multicast(n, 0.5, rng);
-  const auto b = random_multicast(n, 0.5, rng);
-  const std::vector<MulticastAssignment> batch{a, b, a, a, b, a};
-
-  obs::MetricRegistry registry;
-  api::ParallelRouter router(n, 3);
-  router.set_metrics(&registry);
-  const auto results = router.route_batch(batch);
-
-  if constexpr (obs::kEnabled) {
-    EXPECT_EQ(registry.counter("parallel.batch_deduped").value(), 4u);
-  }
-  ASSERT_EQ(results.size(), batch.size());
-  for (const std::size_t i : {2u, 3u, 5u}) {
-    EXPECT_EQ(results[i].delivered, results[0].delivered);
-  }
-  EXPECT_EQ(results[4].delivered, results[1].delivered);
-  EXPECT_EQ(results[0].delivered, Brsmn(n).route(a).delivered);
-  EXPECT_EQ(results[1].delivered, Brsmn(n).route(b).delivered);
-}
-
-TEST(PlanCacheParallel, BatchDeduplicationIsDisabledUnderFaults) {
-  // Each route must draw its own slot of the fault schedule, so
-  // duplicates are routed individually when an injector is armed.
-  const std::size_t n = 16;
-  const auto a = mixed_assignment(n);
-  const std::vector<MulticastAssignment> batch{a, a, a};
-
-  fault::FaultPlan fplan;
-  fplan.n = n;
-  fault::FaultInjector injector(fplan);
-  obs::MetricRegistry registry;
-  api::ParallelRouter router(n, 2);
-  router.set_metrics(&registry);
-  router.set_faults(&injector);
-  const auto results = router.route_batch(batch);
-  EXPECT_EQ(registry.counter("parallel.batch_deduped").value(), 0u);
-  ASSERT_EQ(results.size(), batch.size());
-  EXPECT_EQ(results[0].delivered, results[2].delivered);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <string>
 #include <utility>
 
 #include "api/plan_cache.hpp"
@@ -302,6 +303,11 @@ ClusterOutcome Cluster::route(MulticastAssignment assignment) {
 
 std::vector<ClusterOutcome> Cluster::route_batch(
     std::vector<MulticastAssignment> batch) {
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    BRSMN_EXPECTS_MSG(batch[i].size() == n_,
+                      "route_batch: assignment " + std::to_string(i) +
+                          " size does not match the cluster's fabrics");
+  }
   std::vector<std::future<ClusterOutcome>> futures;
   futures.reserve(batch.size());
   for (MulticastAssignment& assignment : batch) {

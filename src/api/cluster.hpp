@@ -227,7 +227,9 @@ class Cluster {
   std::future<ClusterOutcome> submit_group(GroupManager& groups,
                                            GroupId group);
 
-  /// Synchronous conveniences over submit().
+  /// Synchronous conveniences over submit(). route_batch checks every
+  /// assignment's size before submitting any: a bad batch is refused
+  /// whole, and the error names the first bad index.
   ClusterOutcome route(MulticastAssignment assignment);
   std::vector<ClusterOutcome> route_batch(
       std::vector<MulticastAssignment> batch);

@@ -88,8 +88,8 @@ BENCHMARK(BM_PackedRoute)->RangeMultiplier(4)->Range(64, 4096);
 // exactly its own prefix at the family boundary — so one dump carries a
 // clean per-backend histogram set next to the auto-dispatch
 // packed.route.* family, and tools/bench_diff can gate any backend's p50
-// (the CI floor: portable >= 1.2x scalar, the widest backend on the
-// runner >= 2.5x at n=1024). Registered dynamically from main() because
+// (the CI floors at n=1024: portable >= 1.2x scalar, and AVX2, where the
+// runner has it, >= 2.5x). Registered dynamically from main() because
 // the backend set is a runtime property of the host CPU.
 void packed_backend_bench(benchmark::State& state,
                           brsmn::simd::Backend backend) {

@@ -1,17 +1,18 @@
 // Backend implementations for the packed kernel's word loops.
 //
-// Every backend computes exactly the word recurrences documented on
-// SimdOps — the vector bodies are plain lane-wise and/or/shift/add plus
-// byte<->plane transposes, so there is no rounding, ordering, or carry
-// behaviour to diverge on; the differential harness
+// Two backends: the portable multi-word SWAR loops, always compiled, and
+// AVX2. Both backends compute exactly the word recurrences documented
+// on SimdOps — the vector bodies are plain lane-wise and/or/shift/add
+// plus byte<->plane transposes, so there is no rounding, ordering, or
+// carry behaviour to diverge on; the differential harness
 // (tests/test_simd_differential.cpp) holds them to bit-identity anyway.
-// The x86 bodies use GCC/Clang function multiversioning
-// (`__attribute__((target(...)))`) so no global architecture flags are
-// needed and the portable build keeps running on CPUs without the
-// extensions; dispatch happens once per route through ops().
+// The AVX2 bodies use GCC/Clang function multiversioning
+// (`__attribute__((target("avx2")))`) so no global architecture flags
+// are needed and the portable build keeps running on CPUs without the
+// extension; dispatch happens once per route through ops().
 //
 // The stage kernels are cache-blocked: plane storage is padded to
-// kPlaneStrideWords (8 words = one 512-bit tile = one cache line), and
+// kPlaneStrideWords (8 words = 64 bytes = two AVX2 registers), and
 // the loops walk tile-outer / plane-inner so a mask tile is loaded once
 // and applied to the matching tile of every plane before moving on.
 #include "core/simd_backend.hpp"
@@ -26,13 +27,6 @@
 #include <immintrin.h>
 #else
 #define BRSMN_SIMD_X86 0
-#endif
-
-#if defined(__aarch64__)
-#define BRSMN_SIMD_NEON 1
-#include <arm_neon.h>
-#else
-#define BRSMN_SIMD_NEON 0
 #endif
 
 namespace brsmn::simd {
@@ -207,19 +201,9 @@ void pair_sum_u32_portable(const std::uint32_t* in, std::uint32_t* out,
   for (std::size_t i = 0; i < pairs; ++i) out[i] = in[2 * i] + in[2 * i + 1];
 }
 
-// --- x86: AVX2 (4 words / op) and AVX-512 F+BW (8 words / op) -------------
+// --- x86 AVX2 (4 words / op) ---------------------------------------------
 
 #if BRSMN_SIMD_X86
-
-// GCC's unmasked AVX-512 intrinsics expand through
-// _mm512_undefined_epi32() (a self-initialized dummy), which
-// -Wmaybe-uninitialized flags spuriously (GCC PR 105593); every lane is
-// fully overwritten before use.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#pragma GCC diagnostic ignored "-Wuninitialized"
-#endif
 
 __attribute__((target("avx2"))) void stage_shift_avx2(
     const u64* in, u64* out, const u64* su, const u64* sl, std::size_t planes,
@@ -456,337 +440,7 @@ __attribute__((target("avx2"))) void pair_sum_u32_avx2(
   for (; i < pairs; ++i) out[i] = in[2 * i] + in[2 * i + 1];
 }
 
-__attribute__((target("avx512f"))) void stage_shift_avx512(
-    const u64* in, u64* out, const u64* su, const u64* sl, std::size_t planes,
-    std::size_t stride, unsigned d) {
-  const __m128i cnt = _mm_cvtsi32_si128(static_cast<int>(d));
-  for (std::size_t t = 0; t < stride; t += kPlaneStrideWords) {
-    const __m512i u = _mm512_loadu_si512(su + t);
-    const __m512i l = _mm512_loadu_si512(sl + t);
-    const __m512i nk = _mm512_or_epi64(u, l);
-    for (std::size_t p = 0; p < planes; ++p) {
-      const __m512i x = _mm512_loadu_si512(in + p * stride + t);
-      const __m512i keep = _mm512_andnot_epi64(nk, x);
-      const __m512i up = _mm512_and_epi64(_mm512_srl_epi64(x, cnt), u);
-      const __m512i lo = _mm512_and_epi64(_mm512_sll_epi64(x, cnt), l);
-      _mm512_storeu_si512(out + p * stride + t,
-                          _mm512_or_epi64(keep, _mm512_or_epi64(up, lo)));
-    }
-  }
-}
-
-__attribute__((target("avx512f"))) void stage_offset_avx512(
-    const u64* in, u64* out, const u64* su, const u64* sl, std::size_t planes,
-    std::size_t stride, std::size_t wpl, std::size_t offset) {
-  for (const OffsetRegion& r : offset_regions(wpl, offset)) {
-    std::size_t w = r.lo;
-    for (; w + 8 <= r.hi; w += 8) {
-      const __m512i u = _mm512_loadu_si512(su + w);
-      const __m512i l = _mm512_loadu_si512(sl + w);
-      const __m512i nk = _mm512_or_epi64(u, l);
-      for (std::size_t p = 0; p < planes; ++p) {
-        const u64* ip = in + p * stride;
-        __m512i acc = _mm512_andnot_epi64(nk, _mm512_loadu_si512(ip + w));
-        if (r.up) {
-          acc = _mm512_or_epi64(
-              acc,
-              _mm512_and_epi64(_mm512_loadu_si512(ip + w + offset), u));
-        }
-        if (r.down) {
-          acc = _mm512_or_epi64(
-              acc,
-              _mm512_and_epi64(_mm512_loadu_si512(ip + w - offset), l));
-        }
-        _mm512_storeu_si512(out + p * stride + w, acc);
-      }
-    }
-    for (; w < r.hi; ++w) {
-      const u64 u = su[w];
-      const u64 l = sl[w];
-      const u64 nk = ~(u | l);
-      for (std::size_t p = 0; p < planes; ++p) {
-        const u64* ip = in + p * stride;
-        u64 v = ip[w] & nk;
-        if (r.up) v |= ip[w + offset] & u;
-        if (r.down) v |= ip[w - offset] & l;
-        out[p * stride + w] = v;
-      }
-    }
-  }
-}
-
-__attribute__((target("avx512f"))) void census_split_avx512(
-    const u64* t0, const u64* t1, const u64* t2, u64* alpha, u64* eps,
-    u64* ones, std::size_t words) {
-  std::size_t w = 0;
-  for (; w + 8 <= words; w += 8) {
-    const __m512i a = _mm512_loadu_si512(t0 + w);
-    const __m512i b = _mm512_loadu_si512(t1 + w);
-    const __m512i c = _mm512_loadu_si512(t2 + w);
-    _mm512_storeu_si512(alpha + w, _mm512_andnot_epi64(b, a));
-    _mm512_storeu_si512(eps + w, _mm512_and_epi64(a, b));
-    _mm512_storeu_si512(ones + w, c);
-  }
-  for (; w < words; ++w) {
-    alpha[w] = t0[w] & ~t1[w];
-    eps[w] = t0[w] & t1[w];
-    ones[w] = t2[w];
-  }
-}
-
-__attribute__((target("avx512f"))) void or_andnot_avx512(u64* dst,
-                                                         const u64* a,
-                                                         const u64* b,
-                                                         std::size_t words) {
-  std::size_t w = 0;
-  for (; w + 8 <= words; w += 8) {
-    const __m512i d = _mm512_loadu_si512(dst + w);
-    const __m512i x = _mm512_loadu_si512(a + w);
-    const __m512i y = _mm512_loadu_si512(b + w);
-    _mm512_storeu_si512(dst + w,
-                        _mm512_or_epi64(d, _mm512_andnot_epi64(y, x)));
-  }
-  for (; w < words; ++w) dst[w] |= a[w] & ~b[w];
-}
-
-__attribute__((target("avx512f"))) void count_cascade_avx512(
-    const u64* in, u64* const* levels, int nlevels, std::size_t words) {
-  std::size_t w = 0;
-  for (; w + 8 <= words; w += 8) {
-    __m512i c = _mm512_loadu_si512(in + w);
-    for (int j = 1; j <= nlevels; ++j) {
-      const __m512i m = _mm512_set1_epi64(
-          static_cast<long long>(kFieldMask[j - 1]));
-      const __m128i sh = _mm_cvtsi32_si128(1 << (j - 1));
-      c = _mm512_add_epi64(_mm512_and_epi64(c, m),
-                           _mm512_and_epi64(_mm512_srl_epi64(c, sh), m));
-      _mm512_storeu_si512(levels[j - 1] + w, c);
-    }
-  }
-  if (w < words) count_cascade_tail(in, levels, nlevels, w, words);
-}
-
-// The byte<->plane transposes need AVX-512 BW's per-byte mask ops; every
-// AVX-512 CPU with F except first-gen Xeon Phi has BW, and available()
-// probes for both before this backend is ever selected.
-__attribute__((target("avx512f,avx512bw"))) void tag_pack_avx512(
-    const std::uint8_t* enc, u64* t0, u64* t1, u64* t2, std::size_t words) {
-  for (std::size_t w = 0; w < words; ++w) {
-    const __m512i v = _mm512_loadu_si512(enc + 64 * w);
-    t0[w] = _mm512_test_epi8_mask(v, _mm512_set1_epi8(4));
-    t1[w] = _mm512_test_epi8_mask(v, _mm512_set1_epi8(2));
-    t2[w] = _mm512_test_epi8_mask(v, _mm512_set1_epi8(1));
-  }
-}
-
-__attribute__((target("avx512f,avx512bw"))) void tag_unpack_avx512(
-    const u64* t0, const u64* t1, const u64* t2, std::uint8_t* enc,
-    std::size_t words) {
-  for (std::size_t w = 0; w < words; ++w) {
-    const __m512i bytes = _mm512_or_epi64(
-        _mm512_or_epi64(
-            _mm512_maskz_set1_epi8(static_cast<__mmask64>(t0[w]), 4),
-            _mm512_maskz_set1_epi8(static_cast<__mmask64>(t1[w]), 2)),
-        _mm512_maskz_set1_epi8(static_cast<__mmask64>(t2[w]), 1));
-    _mm512_storeu_si512(enc + 64 * w, bytes);
-  }
-}
-
-__attribute__((target("avx512f"))) void pair_sum_u32_avx512(
-    const std::uint32_t* in, std::uint32_t* out, std::size_t pairs) {
-  const __m512i idx_even = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16,
-                                             18, 20, 22, 24, 26, 28, 30);
-  const __m512i idx_odd = _mm512_setr_epi32(1, 3, 5, 7, 9, 11, 13, 15, 17,
-                                            19, 21, 23, 25, 27, 29, 31);
-  std::size_t i = 0;
-  for (; i + 16 <= pairs; i += 16) {
-    const __m512i a = _mm512_loadu_si512(in + 2 * i);
-    const __m512i b = _mm512_loadu_si512(in + 2 * i + 16);
-    const __m512i even = _mm512_permutex2var_epi32(a, idx_even, b);
-    const __m512i odd = _mm512_permutex2var_epi32(a, idx_odd, b);
-    _mm512_storeu_si512(out + i, _mm512_add_epi32(even, odd));
-  }
-  for (; i < pairs; ++i) out[i] = in[2 * i] + in[2 * i + 1];
-}
-
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
 #endif  // BRSMN_SIMD_X86
-
-// --- aarch64 NEON (2 words / op) ------------------------------------------
-
-#if BRSMN_SIMD_NEON
-
-void stage_shift_neon(const u64* in, u64* out, const u64* su, const u64* sl,
-                      std::size_t planes, std::size_t stride, unsigned d) {
-  const int64x2_t right = vdupq_n_s64(-static_cast<std::int64_t>(d));
-  const int64x2_t left = vdupq_n_s64(static_cast<std::int64_t>(d));
-  for (std::size_t t = 0; t < stride; t += kPlaneStrideWords) {
-    uint64x2_t u[4];
-    uint64x2_t l[4];
-    for (std::size_t q = 0; q < 4; ++q) {
-      u[q] = vld1q_u64(su + t + 2 * q);
-      l[q] = vld1q_u64(sl + t + 2 * q);
-    }
-    for (std::size_t p = 0; p < planes; ++p) {
-      const u64* ip = in + p * stride + t;
-      u64* op = out + p * stride + t;
-      for (std::size_t q = 0; q < 4; ++q) {
-        const uint64x2_t x = vld1q_u64(ip + 2 * q);
-        const uint64x2_t keep = vbicq_u64(x, vorrq_u64(u[q], l[q]));
-        const uint64x2_t up = vandq_u64(vshlq_u64(x, right), u[q]);
-        const uint64x2_t lo = vandq_u64(vshlq_u64(x, left), l[q]);
-        vst1q_u64(op + 2 * q, vorrq_u64(keep, vorrq_u64(up, lo)));
-      }
-    }
-  }
-}
-
-void stage_offset_neon(const u64* in, u64* out, const u64* su, const u64* sl,
-                       std::size_t planes, std::size_t stride, std::size_t wpl,
-                       std::size_t offset) {
-  for (const OffsetRegion& r : offset_regions(wpl, offset)) {
-    std::size_t w = r.lo;
-    for (; w + 2 <= r.hi; w += 2) {
-      const uint64x2_t u = vld1q_u64(su + w);
-      const uint64x2_t l = vld1q_u64(sl + w);
-      const uint64x2_t nk = vorrq_u64(u, l);
-      for (std::size_t p = 0; p < planes; ++p) {
-        const u64* ip = in + p * stride;
-        uint64x2_t acc = vbicq_u64(vld1q_u64(ip + w), nk);
-        if (r.up) {
-          acc = vorrq_u64(acc, vandq_u64(vld1q_u64(ip + w + offset), u));
-        }
-        if (r.down) {
-          acc = vorrq_u64(acc, vandq_u64(vld1q_u64(ip + w - offset), l));
-        }
-        vst1q_u64(out + p * stride + w, acc);
-      }
-    }
-    for (; w < r.hi; ++w) {
-      const u64 u = su[w];
-      const u64 l = sl[w];
-      const u64 nk = ~(u | l);
-      for (std::size_t p = 0; p < planes; ++p) {
-        const u64* ip = in + p * stride;
-        u64 v = ip[w] & nk;
-        if (r.up) v |= ip[w + offset] & u;
-        if (r.down) v |= ip[w - offset] & l;
-        out[p * stride + w] = v;
-      }
-    }
-  }
-}
-
-void census_split_neon(const u64* t0, const u64* t1, const u64* t2,
-                       u64* alpha, u64* eps, u64* ones, std::size_t words) {
-  std::size_t w = 0;
-  for (; w + 2 <= words; w += 2) {
-    const uint64x2_t a = vld1q_u64(t0 + w);
-    const uint64x2_t b = vld1q_u64(t1 + w);
-    vst1q_u64(alpha + w, vbicq_u64(a, b));
-    vst1q_u64(eps + w, vandq_u64(a, b));
-    vst1q_u64(ones + w, vld1q_u64(t2 + w));
-  }
-  for (; w < words; ++w) {
-    alpha[w] = t0[w] & ~t1[w];
-    eps[w] = t0[w] & t1[w];
-    ones[w] = t2[w];
-  }
-}
-
-void or_andnot_neon(u64* dst, const u64* a, const u64* b, std::size_t words) {
-  std::size_t w = 0;
-  for (; w + 2 <= words; w += 2) {
-    const uint64x2_t d = vld1q_u64(dst + w);
-    const uint64x2_t x = vld1q_u64(a + w);
-    const uint64x2_t y = vld1q_u64(b + w);
-    vst1q_u64(dst + w, vorrq_u64(d, vbicq_u64(x, y)));
-  }
-  for (; w < words; ++w) dst[w] |= a[w] & ~b[w];
-}
-
-void count_cascade_neon(const u64* in, u64* const* levels, int nlevels,
-                        std::size_t words) {
-  std::size_t w = 0;
-  for (; w + 2 <= words; w += 2) {
-    uint64x2_t c = vld1q_u64(in + w);
-    for (int j = 1; j <= nlevels; ++j) {
-      const uint64x2_t m = vdupq_n_u64(kFieldMask[j - 1]);
-      const int64x2_t sh = vdupq_n_s64(-(std::int64_t{1} << (j - 1)));
-      c = vaddq_u64(vandq_u64(c, m), vandq_u64(vshlq_u64(c, sh), m));
-      vst1q_u64(levels[j - 1] + w, c);
-    }
-  }
-  if (w < words) count_cascade_tail(in, levels, nlevels, w, words);
-}
-
-constexpr std::uint8_t kNeonBitSel[16] = {1, 2, 4, 8, 16, 32, 64, 128,
-                                          1, 2, 4, 8, 16, 32, 64, 128};
-
-/// Movemask of a 0x00/0xFF byte vector: keep each lane's selector bit,
-/// then three pairwise adds fold 16 lanes to the two mask bytes.
-std::uint16_t neon_movemask_u8(uint8x16_t hit) {
-  const uint8x16_t bits = vandq_u8(hit, vld1q_u8(kNeonBitSel));
-  uint8x8_t s = vpadd_u8(vget_low_u8(bits), vget_high_u8(bits));
-  s = vpadd_u8(s, s);
-  s = vpadd_u8(s, s);
-  return vget_lane_u16(vreinterpret_u16_u8(s), 0);
-}
-
-void tag_pack_neon(const std::uint8_t* enc, u64* t0, u64* t1, u64* t2,
-                   std::size_t words) {
-  for (std::size_t w = 0; w < words; ++w) {
-    u64 r0 = 0, r1 = 0, r2 = 0;
-    for (unsigned c = 0; c < 4; ++c) {
-      const uint8x16_t v = vld1q_u8(enc + 64 * w + 16 * c);
-      r0 |= static_cast<u64>(neon_movemask_u8(vtstq_u8(v, vdupq_n_u8(4))))
-            << (16 * c);
-      r1 |= static_cast<u64>(neon_movemask_u8(vtstq_u8(v, vdupq_n_u8(2))))
-            << (16 * c);
-      r2 |= static_cast<u64>(neon_movemask_u8(vtstq_u8(v, vdupq_n_u8(1))))
-            << (16 * c);
-    }
-    t0[w] = r0;
-    t1[w] = r1;
-    t2[w] = r2;
-  }
-}
-
-/// Expand bits [16c, 16c + 16) of a plane word to 0x00/0xFF bytes.
-uint8x16_t neon_mask_bytes(u64 word, unsigned c) {
-  const uint8x16_t rep = vcombine_u8(
-      vdup_n_u8(static_cast<std::uint8_t>(word >> (16 * c))),
-      vdup_n_u8(static_cast<std::uint8_t>(word >> (16 * c + 8))));
-  return vtstq_u8(rep, vld1q_u8(kNeonBitSel));
-}
-
-void tag_unpack_neon(const u64* t0, const u64* t1, const u64* t2,
-                     std::uint8_t* enc, std::size_t words) {
-  for (std::size_t w = 0; w < words; ++w) {
-    for (unsigned c = 0; c < 4; ++c) {
-      const uint8x16_t bytes = vorrq_u8(
-          vorrq_u8(vandq_u8(neon_mask_bytes(t0[w], c), vdupq_n_u8(4)),
-                   vandq_u8(neon_mask_bytes(t1[w], c), vdupq_n_u8(2))),
-          vandq_u8(neon_mask_bytes(t2[w], c), vdupq_n_u8(1)));
-      vst1q_u8(enc + 64 * w + 16 * c, bytes);
-    }
-  }
-}
-
-void pair_sum_u32_neon(const std::uint32_t* in, std::uint32_t* out,
-                       std::size_t pairs) {
-  std::size_t i = 0;
-  for (; i + 4 <= pairs; i += 4) {
-    const uint32x4x2_t v = vld2q_u32(in + 2 * i);
-    vst1q_u32(out + i, vaddq_u32(v.val[0], v.val[1]));
-  }
-  for (; i < pairs; ++i) out[i] = in[2 * i] + in[2 * i + 1];
-}
-
-#endif  // BRSMN_SIMD_NEON
 
 // --- dispatch tables ------------------------------------------------------
 
@@ -806,23 +460,6 @@ constexpr SimdOps kAvx2Ops = {
     count_cascade_avx2, tag_pack_avx2,
     tag_unpack_avx2,    pair_sum_u32_avx2,
 };
-constexpr SimdOps kAvx512Ops = {
-    Backend::Avx512,      "avx512",
-    stage_shift_avx512,   stage_offset_avx512,
-    census_split_avx512,  or_andnot_avx512,
-    count_cascade_avx512, tag_pack_avx512,
-    tag_unpack_avx512,    pair_sum_u32_avx512,
-};
-#endif
-
-#if BRSMN_SIMD_NEON
-constexpr SimdOps kNeonOps = {
-    Backend::Neon,      "neon",
-    stage_shift_neon,   stage_offset_neon,
-    census_split_neon,  or_andnot_neon,
-    count_cascade_neon, tag_pack_neon,
-    tag_unpack_neon,    pair_sum_u32_neon,
-};
 #endif
 
 }  // namespace
@@ -832,10 +469,7 @@ bool compiled(Backend b) noexcept {
     case Backend::Portable:
       return true;
     case Backend::Avx2:
-    case Backend::Avx512:
       return BRSMN_SIMD_X86 != 0;
-    case Backend::Neon:
-      return BRSMN_SIMD_NEON != 0;
     case Backend::Auto:
       return false;
   }
@@ -846,24 +480,13 @@ bool available(Backend b) noexcept {
   if (!compiled(b)) return false;
 #if BRSMN_SIMD_X86
   if (b == Backend::Avx2) return __builtin_cpu_supports("avx2") != 0;
-  if (b == Backend::Avx512) {
-    // F for the 512-bit word loops, BW for the per-byte tag transposes
-    // (tag_pack/tag_unpack). Only first-gen Xeon Phi has F without BW;
-    // it degrades to AVX2.
-    return __builtin_cpu_supports("avx512f") != 0 &&
-           __builtin_cpu_supports("avx512bw") != 0;
-  }
 #endif
-  return true;  // Portable always; NEON is baseline on aarch64.
+  return true;  // Portable always.
 }
 
 Backend detect() noexcept {
-  static const Backend widest = [] {
-    for (const Backend b : {Backend::Avx512, Backend::Avx2, Backend::Neon}) {
-      if (available(b)) return b;
-    }
-    return Backend::Portable;
-  }();
+  static const Backend widest =
+      available(Backend::Avx2) ? Backend::Avx2 : Backend::Portable;
   return widest;
 }
 
@@ -875,7 +498,7 @@ Backend forced() noexcept {
     if (!parsed.has_value()) {
       std::fprintf(stderr,
                    "brsmn: BRSMN_FORCE_BACKEND='%s' is not a backend name "
-                   "(auto/portable/avx2/avx512/neon) — ignoring\n",
+                   "(auto/portable/avx2) — ignoring\n",
                    env);
       return Backend::Auto;
     }
@@ -896,28 +519,15 @@ const SimdOps& ops(Backend request) noexcept {
     const Backend f = forced();
     request = f == Backend::Auto ? detect() : f;
   }
-  if (!available(request)) request = Backend::Portable;
-  switch (request) {
 #if BRSMN_SIMD_X86
-    case Backend::Avx2:
-      return kAvx2Ops;
-    case Backend::Avx512:
-      return kAvx512Ops;
+  if (request == Backend::Avx2 && available(request)) return kAvx2Ops;
 #endif
-#if BRSMN_SIMD_NEON
-    case Backend::Neon:
-      return kNeonOps;
-#endif
-    default:
-      return kPortableOps;
-  }
+  return kPortableOps;
 }
 
 std::vector<Backend> available_backends() {
   std::vector<Backend> out{Backend::Portable};
-  for (const Backend b : {Backend::Neon, Backend::Avx2, Backend::Avx512}) {
-    if (available(b)) out.push_back(b);
-  }
+  if (available(Backend::Avx2)) out.push_back(Backend::Avx2);
   return out;
 }
 
@@ -929,10 +539,6 @@ const char* to_string(Backend b) noexcept {
       return "portable";
     case Backend::Avx2:
       return "avx2";
-    case Backend::Avx512:
-      return "avx512";
-    case Backend::Neon:
-      return "neon";
   }
   return "unknown";
 }
@@ -943,8 +549,6 @@ std::optional<Backend> parse(std::string_view name) noexcept {
     return Backend::Portable;
   }
   if (name == "avx2") return Backend::Avx2;
-  if (name == "avx512" || name == "avx-512") return Backend::Avx512;
-  if (name == "neon") return Backend::Neon;
   return std::nullopt;
 }
 

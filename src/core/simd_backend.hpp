@@ -6,17 +6,16 @@
 // regardless of which backend produced them. What a backend changes is
 // only how many 64-bit switch columns one instruction advances: the
 // portable fallback is multi-word SWAR, AVX2 moves 4 words per
-// instruction, AVX-512 moves 8, NEON moves 2. A plan compiled under one
-// backend replays bit-identically under any other (proven pairwise by
-// tests/test_simd_differential.cpp).
+// instruction. A plan compiled under one backend replays bit-identically
+// under the other (proven pairwise by tests/test_simd_differential.cpp).
 //
 // Selection is per route via RouteOptions::simd_backend: Auto (the
-// default) probes the CPU once (cpuid on x86) and picks the widest
-// compiled-in backend the hardware supports, unless the
-// BRSMN_FORCE_BACKEND environment variable overrides the probe
-// ("portable"/"swar", "avx2", "avx512", "neon", "auto"). Requesting a
-// backend this build or CPU cannot run falls back to the portable
-// fallback, which is always compiled in.
+// default) resolves the BRSMN_FORCE_BACKEND environment variable
+// ("portable"/"swar", "avx2", "auto") if set, else probes the CPU once
+// (cpuid) and picks AVX2 where the hardware supports it, else portable.
+// An explicit request for a backend this build or CPU cannot run
+// degrades silently to the portable fallback, which is always compiled
+// in; only an unusable BRSMN_FORCE_BACKEND value warns, once, on stderr.
 #pragma once
 
 #include <cstddef>
@@ -28,24 +27,20 @@
 namespace brsmn::simd {
 
 enum class Backend : std::uint8_t {
-  /// Resolve at runtime: BRSMN_FORCE_BACKEND if set, else the widest
-  /// available backend.
+  /// Resolve at runtime: BRSMN_FORCE_BACKEND if set, else AVX2 where
+  /// available, else Portable.
   Auto = 0,
   /// Multi-word SWAR over plain uint64_t — always compiled, every host.
   Portable,
   /// 256-bit planes, 4 switch columns per instruction (x86 AVX2).
   Avx2,
-  /// 512-bit planes, 8 switch columns per instruction (x86 AVX-512
-  /// F+BW — BW for the per-byte tag transposes).
-  Avx512,
-  /// 128-bit planes, 2 switch columns per instruction (aarch64).
-  Neon,
 };
 
 /// Every plane's word storage is padded to this stride multiple (8 words
-/// = 512 bits), so the widest backend can run whole-vector loops with no
-/// tail handling inside the stage datapath. Pad words are zero at all
-/// times on every backend — part of the checkpoint format.
+/// = 512 bits, a cache line's worth), the tile the stage kernels walk:
+/// the AVX2 stage_shift covers one tile with two registers and no tail
+/// handling. Pad words are zero at all times on every backend — part of
+/// the checkpoint format.
 inline constexpr std::size_t kPlaneStrideWords = 8;
 
 /// The word-loop kernels one backend provides. All implementations are
@@ -123,12 +118,11 @@ struct SimdOps {
 /// compiler support). Portable is always true; Auto is never "a backend".
 bool compiled(Backend b) noexcept;
 
-/// compiled(b) and the running CPU supports it (cpuid on x86; NEON is
-/// implied by aarch64).
+/// compiled(b) and the running CPU supports it (cpuid on x86).
 bool available(Backend b) noexcept;
 
-/// The widest available backend on this host (never Auto; at worst
-/// Portable).
+/// The widest available backend on this host: Avx2 where the CPU has
+/// it, else Portable (never Auto).
 Backend detect() noexcept;
 
 /// The BRSMN_FORCE_BACKEND override, parsed once per process: the forced
@@ -147,8 +141,8 @@ std::vector<Backend> available_backends();
 
 const char* to_string(Backend b) noexcept;
 
-/// Parse a backend name ("auto", "portable"/"swar", "avx2", "avx512",
-/// "neon"); nullopt on anything else.
+/// Parse a backend name ("auto", "portable"/"swar"/"scalar-words",
+/// "avx2"); nullopt on anything else.
 std::optional<Backend> parse(std::string_view name) noexcept;
 
 }  // namespace brsmn::simd

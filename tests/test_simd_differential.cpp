@@ -58,15 +58,17 @@ TEST(SimdDispatch, AvailableBackendsResolveToThemselves) {
     EXPECT_NE(o.census_split, nullptr);
     EXPECT_NE(o.or_andnot, nullptr);
     EXPECT_NE(o.count_cascade, nullptr);
+    EXPECT_NE(o.tag_pack, nullptr);
+    EXPECT_NE(o.tag_unpack, nullptr);
+    EXPECT_NE(o.pair_sum_u32, nullptr);
   }
 }
 
 TEST(SimdDispatch, UnavailableRequestsDegradeToPortable) {
-  for (const simd::Backend b : {simd::Backend::Avx2, simd::Backend::Avx512,
-                                simd::Backend::Neon}) {
-    if (!simd::available(b)) {
-      EXPECT_EQ(simd::ops(b).kind, simd::Backend::Portable) << backend_tag(b);
-    }
+  for (const simd::Backend b : {simd::Backend::Portable, simd::Backend::Avx2}) {
+    const simd::Backend expected =
+        simd::available(b) ? b : simd::Backend::Portable;
+    EXPECT_EQ(simd::ops(b).kind, expected) << backend_tag(b);
   }
 }
 
@@ -78,14 +80,13 @@ TEST(SimdDispatch, AutoResolvesToAnAvailableBackend) {
 
 TEST(SimdDispatch, ParseRoundTripsEveryBackendName) {
   for (const simd::Backend b :
-       {simd::Backend::Auto, simd::Backend::Portable, simd::Backend::Avx2,
-        simd::Backend::Avx512, simd::Backend::Neon}) {
+       {simd::Backend::Auto, simd::Backend::Portable, simd::Backend::Avx2}) {
     const auto parsed = simd::parse(simd::to_string(b));
     ASSERT_TRUE(parsed.has_value()) << backend_tag(b);
     EXPECT_EQ(*parsed, b);
   }
   EXPECT_EQ(simd::parse("swar"), simd::Backend::Portable);
-  EXPECT_EQ(simd::parse("avx-512"), simd::Backend::Avx512);
+  EXPECT_EQ(simd::parse("scalar-words"), simd::Backend::Portable);
   EXPECT_FALSE(simd::parse("sse9").has_value());
   EXPECT_FALSE(simd::parse("").has_value());
 }
@@ -102,8 +103,11 @@ TEST(SimdDispatch, ForcedEnvironmentOverrideIsHonored) {
   }
   const auto requested = simd::parse(env);
   if (!requested || !simd::available(*requested)) {
+    // Invalid/unavailable values are warned about and ignored. Skip
+    // rather than pass: the forced backend never ran in this process.
     EXPECT_EQ(simd::forced(), simd::Backend::Auto);
-    return;  // invalid/unavailable values are warned about and ignored
+    GTEST_SKIP() << "BRSMN_FORCE_BACKEND='" << env
+                 << "' is not a backend available on this host";
   }
   if (*requested == simd::Backend::Auto) {
     EXPECT_EQ(simd::forced(), simd::Backend::Auto);
